@@ -10,12 +10,12 @@
 //       by (topology, size), with versioned snapshots (Save/Load) so a
 //       trained replica set rehydrates bit-identically
 //   serving::EstimatorService — the concurrent front, now with a
-//       workload tap, an epoch-tagged result cache, and hot replica
-//       swaps (ReplaceReplica + AdvanceEpoch)
+//       workload tap and an epoch-tagged result cache
 //   serving::ModelLifecycle   — drains the tap into a shadow replica's
-//       WorkloadMonitor, runs Adapt() off the serving path, snapshots,
-//       swaps the replicas, and bumps the cache epoch so no pre-swap
-//       estimate is ever served again
+//       WorkloadMonitor, runs Adapt() off the serving path, installs the
+//       new model into every replica from one shared weight copy, and
+//       bumps the cache epoch so no pre-swap estimate is ever served
+//       again
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -48,8 +48,8 @@ int main() {
   std::cout << "Training the initial star-2 model...\n";
   core::AdaptiveLmkg shadow(graph, aconfig);
 
-  // 2. A replica factory: rehydrate serving replicas from a shadow
-  //    snapshot ("train once, serve from copies" — across generations).
+  // 2. A replica factory: rehydrate the initial serving replicas from a
+  //    shadow snapshot ("train once, serve from copies").
   serving::ModelLifecycle::ReplicaFactory factory =
       serving::MakeAdaptiveReplicaFactory(graph, aconfig);
   std::ostringstream boot;
@@ -87,7 +87,8 @@ int main() {
             << service.epoch() << "\n";
 
   // 5. One lifecycle cycle: detect the drift, train the chain-3 model
-  //    off the serving path, hot-swap the replicas, bump the epoch.
+  //    off the serving path, install it into the replicas, bump the
+  //    epoch.
   serving::LifecycleReport report = lifecycle.RunOnce();
   std::cout << "Lifecycle cycle: " << report.samples_observed
             << " samples observed, " << report.adapt.created.size()

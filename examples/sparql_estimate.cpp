@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
       std::cerr << "cannot open " << load_path << "\n";
       return 1;
     }
-    auto status = lmkg.LoadModels(in);
+    auto status = lmkg.Load(in);
     if (!status.ok()) {
       std::cerr << "load failed: " << status.message() << "\n";
       return 1;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       // file (or none), never a torn one.
       auto status = util::WriteFileAtomic(
           save_path,
-          [&](std::ostream& out) { return lmkg.SaveModels(out); });
+          [&](std::ostream& out) { return lmkg.Save(out); });
       if (!status.ok()) {
         std::cerr << "save failed: " << status.message() << "\n";
         return 1;

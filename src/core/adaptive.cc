@@ -119,30 +119,68 @@ LmkgS* AdaptiveLmkg::HydrateMapped(const Combo& combo) {
   // bad segment must not be re-probed on every query).
   mapped_pending_.erase(it);
   mapped_probes_.erase(combo);
-  std::optional<MappedWeights> weights = mapped_source_->Hydrate(combo);
-  if (!weights.has_value()) {
+  const std::optional<WeightViews> weights = mapped_source_->Hydrate(combo);
+  util::Result<std::unique_ptr<LmkgS>> model =
+      weights.has_value() ? BuildServeOnly(combo, *weights)
+                          : util::Status::Error("segment unavailable");
+  if (!model.ok()) {
     if (config_.verbose)
       std::cerr << "[adaptive] mapped hydration failed for "
                 << TopologyName(combo.topology) << "-" << combo.size
-                << "\n";
+                << ": " << model.status().message() << "\n";
     return nullptr;
   }
-  std::unique_ptr<LmkgS> model =
-      LmkgS::CreateMapped(MakeComboEncoder(combo), config_.s_config);
-  const util::Status status = model->AttachWeights(
-      weights->tensors, weights->log_min, weights->log_max);
-  if (!status.ok()) {
-    if (config_.verbose)
-      std::cerr << "[adaptive] mapped attach failed for "
-                << TopologyName(combo.topology) << "-" << combo.size
-                << ": " << status.message() << "\n";
-    return nullptr;
-  }
-  model->WarmUp();
-  LmkgS* raw = model.get();
-  models_[combo] = std::move(model);
+  LmkgS* raw = model.value().get();
+  models_[combo] = std::move(model.value());
   mapped_hydrated_.insert(combo);
   return raw;
+}
+
+util::Result<std::unique_ptr<LmkgS>> AdaptiveLmkg::BuildServeOnly(
+    const Combo& combo, const WeightViews& weights) const {
+  std::unique_ptr<LmkgS> model =
+      LmkgS::CreateMapped(MakeComboEncoder(combo), config_.s_config);
+  if (util::Status status = model->AttachWeights(
+          weights.tensors, weights.log_min, weights.log_max, weights.owner);
+      !status.ok())
+    return status;
+  model->WarmUp();
+  return model;
+}
+
+void AdaptiveLmkg::EraseCombo(const Combo& combo) {
+  models_.erase(combo);
+  mapped_hydrated_.erase(combo);
+  mapped_probes_.erase(combo);
+  if (const auto it = std::lower_bound(mapped_pending_.begin(),
+                                       mapped_pending_.end(), combo);
+      it != mapped_pending_.end() && *it == combo)
+    mapped_pending_.erase(it);
+}
+
+util::Status AdaptiveLmkg::Install(const ModelUpdate& update) {
+  // Build every incoming model before touching the registry, so a
+  // rejected update leaves this replica serving exactly what it served.
+  std::vector<std::pair<Combo, std::unique_ptr<LmkgS>>> built;
+  built.reserve(update.install.size());
+  for (const auto& [combo, weights] : update.install) {
+    util::Result<std::unique_ptr<LmkgS>> model =
+        BuildServeOnly(combo, weights);
+    if (!model.ok())
+      return util::Status::Error(util::StrFormat(
+          "adaptive: install of %s-%d failed: %s",
+          TopologyName(combo.topology), combo.size,
+          model.status().message().c_str()));
+    built.emplace_back(combo, std::move(model.value()));
+  }
+  // The old models (and any borrow of a store mapping) die here; a
+  // mapping itself belongs to its cache and lives on.
+  for (const Combo& combo : update.drop) EraseCombo(combo);
+  for (auto& [combo, model] : built) {
+    EraseCombo(combo);
+    models_[combo] = std::move(model);
+  }
+  return util::Status::Ok();
 }
 
 LmkgS* AdaptiveLmkg::SelectModel(const Query& q) {
@@ -289,15 +327,24 @@ void AdaptiveLmkg::IngestFeedback(
     std::vector<sampling::LabeledQuery> pairs) {
   for (sampling::LabeledQuery& pair : pairs) {
     if (pair.size < 2) continue;  // size-1 is answered exactly
-    std::vector<sampling::LabeledQuery>& pending =
-        pending_feedback_[Combo{pair.topology, pair.size}];
-    // Bounded: evict the OLDEST pending pair — under drift the newest
-    // truths are the ones worth keeping.
-    if (config_.feedback_pending_cap > 0 &&
-        pending.size() >= config_.feedback_pending_cap)
-      pending.erase(pending.begin());
-    pending.push_back(std::move(pair));
+    pending_feedback_[Combo{pair.topology, pair.size}].push_back(
+        std::move(pair));
   }
+  // Bounded: trim each buffer's OLDEST overflow in one erase — under
+  // drift the newest truths are the ones worth keeping.
+  const size_t cap = config_.feedback_pending_cap;
+  if (cap == 0) return;
+  for (auto& [combo, pending] : pending_feedback_)
+    if (pending.size() > cap)
+      pending.erase(pending.begin(),
+                    pending.end() - static_cast<std::ptrdiff_t>(cap));
+}
+
+std::span<const sampling::LabeledQuery> AdaptiveLmkg::pending_feedback(
+    const Combo& combo) const {
+  const auto it = pending_feedback_.find(combo);
+  if (it == pending_feedback_.end()) return {};
+  return it->second;
 }
 
 size_t AdaptiveLmkg::pending_feedback_pairs() const {
@@ -412,9 +459,6 @@ namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x4c4d4b41;  // "LMKA"
 constexpr uint32_t kSnapshotVersion = 1;
-// Per-combo incremental model snapshot (SaveModel/LoadModel).
-constexpr uint32_t kModelMagic = 0x4c4d4b4d;  // "LMKM"
-constexpr uint32_t kModelVersion = 1;
 // Upper bound on a plausible combo size in a snapshot: far above any
 // trainable query size, far below anything that could push a corrupt
 // value into encoder-width arithmetic (or a bad_alloc out of a function
@@ -544,80 +588,6 @@ util::Status AdaptiveLmkg::Load(std::istream& in) {
   mapped_hydrated_.clear();
   monitor_.RestoreState(monitor);
   models_created_ = static_cast<size_t>(created);
-  return util::Status::Ok();
-}
-
-util::Status AdaptiveLmkg::SaveModel(const Combo& combo,
-                                     std::ostream& out) {
-  const auto it = models_.find(combo);
-  if (it == models_.end())
-    return util::Status::Error(util::StrFormat(
-        "adaptive: no model for combo %s-%d",
-        TopologyName(combo.topology), combo.size));
-  nn::WriteU32(out, kModelMagic);
-  nn::WriteU32(out, kModelVersion);
-  // Same config header as the full snapshot: reject a Load into a
-  // mismatched architecture before touching tensors.
-  nn::WriteU32(out, static_cast<uint32_t>(config_.term_encoding));
-  nn::WriteU32(out, static_cast<uint32_t>(config_.s_config.hidden_dim));
-  nn::WriteU32(out,
-               static_cast<uint32_t>(config_.s_config.num_hidden_layers));
-  nn::WriteU32(out, static_cast<uint32_t>(combo.topology));
-  nn::WriteU32(out, static_cast<uint32_t>(combo.size));
-  util::Status status = it->second->Save(out);
-  if (!status.ok()) return status;
-  out.flush();
-  if (!out)
-    return util::Status::Error("adaptive: combo snapshot write failed");
-  return util::Status::Ok();
-}
-
-util::Status AdaptiveLmkg::LoadModel(const Combo& combo,
-                                     std::istream& in) {
-  uint32_t magic = 0, version = 0;
-  if (!nn::ReadU32(in, &magic) || magic != kModelMagic)
-    return util::Status::Error(
-        "adaptive: bad magic (not an LMKG combo snapshot)");
-  if (!nn::ReadU32(in, &version) || version != kModelVersion)
-    return util::Status::Error(util::StrFormat(
-        "adaptive: unsupported combo snapshot version %u", version));
-  uint32_t term_encoding = 0, hidden_dim = 0, hidden_layers = 0;
-  if (!nn::ReadU32(in, &term_encoding) || !nn::ReadU32(in, &hidden_dim) ||
-      !nn::ReadU32(in, &hidden_layers))
-    return util::Status::Error("adaptive: truncated combo config header");
-  if (term_encoding != static_cast<uint32_t>(config_.term_encoding) ||
-      hidden_dim != static_cast<uint32_t>(config_.s_config.hidden_dim) ||
-      hidden_layers !=
-          static_cast<uint32_t>(config_.s_config.num_hidden_layers))
-    return util::Status::Error("adaptive: combo snapshot config mismatch");
-  uint32_t topology = 0, size = 0;
-  if (!nn::ReadU32(in, &topology) || !nn::ReadU32(in, &size))
-    return util::Status::Error("adaptive: truncated combo header");
-  if (topology != static_cast<uint32_t>(combo.topology) ||
-      size != static_cast<uint32_t>(combo.size))
-    return util::Status::Error(util::StrFormat(
-        "adaptive: combo snapshot is %s-%u, expected %s-%d",
-        TopologyName(static_cast<Topology>(topology)), size,
-        TopologyName(combo.topology), combo.size));
-  if (topology > static_cast<uint32_t>(Topology::kComposite) || size < 2 ||
-      size > kMaxComboSize)
-    return util::Status::Error("adaptive: corrupt combo header");
-  // Rehydrate into a scratch model first: a mid-stream failure must
-  // leave the served registry untouched.
-  auto model =
-      std::make_unique<LmkgS>(MakeComboEncoder(combo), config_.s_config);
-  util::Status status = model->Load(in);
-  if (!status.ok()) return status;
-  // The fresh weights supersede any store-backed version of this combo
-  // (the old hydrated model — and its borrow of the mapping — dies
-  // here; the mapping itself belongs to the cache and lives on).
-  if (const auto it = std::lower_bound(mapped_pending_.begin(),
-                                       mapped_pending_.end(), combo);
-      it != mapped_pending_.end() && *it == combo)
-    mapped_pending_.erase(it);
-  mapped_probes_.erase(combo);
-  mapped_hydrated_.erase(combo);
-  models_[combo] = std::move(model);
   return util::Status::Ok();
 }
 

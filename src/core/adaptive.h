@@ -8,7 +8,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.h"
@@ -72,14 +74,15 @@ struct AdaptiveLmkgConfig {
 /// combination of exact single-pattern statistics — the always-available
 /// estimate a plain RDF engine would use.
 ///
-/// Threading: NOT thread-safe — estimate, Adapt, and Load/Save all touch
-/// the model registry and reused encode scratch without internal locks
-/// (deliberately: serving synchronizes on the owning shard's replica
-/// mutex, and a second internal lock would buy nothing but overhead).
-/// The serving deployment keeps one instance per shard behind
-/// EstimatorService's replica_mu, one shadow instance private to the
-/// ModelLifecycle thread, and one probe instance behind
-/// FeedbackCollector's probe mutex; none is ever shared.
+/// Threading: NOT thread-safe — estimate, Adapt, Install and Load/Save
+/// all touch the model registry and reused encode scratch without
+/// internal locks (deliberately: serving synchronizes on the owning
+/// shard's replica mutex, and a second internal lock would buy nothing
+/// but overhead). The serving deployment keeps one instance per shard
+/// behind EstimatorService's replica_mu, one trainable shadow private
+/// to the ModelLifecycle thread, and one probe behind
+/// FeedbackCollector's probe mutex; no instance is ever shared, only the
+/// immutable weights an Install hands to all of them.
 class AdaptiveLmkg : public CardinalityEstimator {
  public:
   using Combo = WorkloadMonitor::Combo;
@@ -103,9 +106,8 @@ class AdaptiveLmkg : public CardinalityEstimator {
     std::vector<Combo> created;
     std::vector<Combo> dropped;
     /// Combos whose existing model was incrementally retrained on
-    /// blended executor feedback — the per-combo swap set a lifecycle
-    /// ships instead of a full snapshot when nothing was created or
-    /// dropped.
+    /// blended executor feedback; a lifecycle installs them into the
+    /// replicas together with the created ones.
     std::vector<Combo> updated;
   };
 
@@ -128,6 +130,9 @@ class AdaptiveLmkg : public CardinalityEstimator {
   /// Pending fed-back pairs not yet consumed by Adapt(), summed over
   /// combos.
   size_t pending_feedback_pairs() const;
+  /// One combo's pending fed-back pairs, oldest first.
+  std::span<const sampling::LabeledQuery> pending_feedback(
+      const Combo& combo) const;
 
   /// Feeds one query into the workload monitor WITHOUT estimating it —
   /// how a background lifecycle mirrors live serving traffic into a
@@ -143,30 +148,27 @@ class AdaptiveLmkg : public CardinalityEstimator {
   /// bit-identically and resumes drift detection where the donor left
   /// off; models present before Load are discarded. Construct the target
   /// with `initial_combos` cleared to skip training throwaway models
-  /// (the snapshot carries the real ones).
+  /// (the snapshot carries the real ones). Later changes go via Install.
   util::Status Save(std::ostream& out);
   util::Status Load(std::istream& in);
 
-  /// Per-combo incremental snapshot: serializes ONE combo's model (own
-  /// magic + combo header + LmkgS params) so a lifecycle that only
-  /// retrained that combo ships kilobytes instead of the whole registry.
-  /// SaveModel fails if the combo has no model; LoadModel creates or
-  /// replaces the combo's model in place (same config-compatibility
-  /// checks as Load; the stream's combo header must match `combo`).
-  /// After loading into a SERVED replica, bump the service epoch — the
-  /// model's estimates changed.
-  util::Status SaveModel(const Combo& combo, std::ostream& out);
-  util::Status LoadModel(const Combo& combo, std::istream& in);
-
-  /// Weight views + label scaler a mapped-model provider hands back at
-  /// hydration time. The views point into storage the provider's owner
-  /// keeps alive (an mmapped store segment) — AdaptiveLmkg never copies
-  /// them; the hydrated model borrows them directly.
-  struct MappedWeights {
-    std::vector<nn::ConstMatrixView> tensors;
-    double log_min = 0.0;
-    double log_max = 0.0;
+  /// One registry edit, exported from a trainable shadow and installed
+  /// into any number of serving replicas: the weights of each created or
+  /// retrained combo (LmkgS::CopyWeights — copied once, shared by every
+  /// replica that installs them) and the combos the shadow dropped.
+  struct ModelUpdate {
+    std::vector<std::pair<Combo, WeightViews>> install;
+    std::vector<Combo> drop;
   };
+
+  /// Applies `update`: builds a serve-only model over each installed
+  /// combo's shared weights (the builder store hydration uses), then
+  /// replaces or adds those combos and removes the dropped ones,
+  /// superseding any store-backed version. All or nothing: weights that
+  /// do not fit this replica's architecture leave the registry untouched
+  /// and return the error. Bump the service epoch after installing into
+  /// a SERVED replica.
+  util::Status Install(const ModelUpdate& update);
 
   /// A tenant-scoped source of store-backed models: ONE object serves
   /// every combo the registry holds, so attaching a registry of N
@@ -178,10 +180,10 @@ class AdaptiveLmkg : public CardinalityEstimator {
     virtual ~MappedSource() = default;
     /// Maps the combo's segment (typically through a store::StoreCache)
     /// and returns its weight views; nullopt on failure. Called once
-    /// per combo, at hydration. The views must stay valid for the
-    /// replica's lifetime — i.e. the mapping's owner must outlive the
-    /// replica.
-    virtual std::optional<MappedWeights> Hydrate(const Combo& combo) = 0;
+    /// per combo, at hydration. The hydrated model borrows the views
+    /// without copying, so without an `owner` the mapping's owner must
+    /// outlive the replica.
+    virtual std::optional<WeightViews> Hydrate(const Combo& combo) = 0;
     /// Per-serve hook (the cache's LRU touch) invoked every time a
     /// model hydrated from this source serves an estimate.
     virtual void Touch(const Combo& combo) = 0;
@@ -205,8 +207,8 @@ class AdaptiveLmkg : public CardinalityEstimator {
   util::Status HydrateAllMapped();
 
   /// The combo's hydrated model, nullptr if absent or still pending —
-  /// how a lifecycle reads trained weights out of its shadow for store
-  /// persistence.
+  /// how a lifecycle reads trained weights out of its shadow for
+  /// installs and store persistence.
   LmkgS* FindModel(const Combo& combo);
 
   /// Every served combo: hydrated models first, then pending mapped
@@ -246,12 +248,19 @@ class AdaptiveLmkg : public CardinalityEstimator {
   // lazily-built probe encoder (CanEstimate on a hydrated LmkgS is
   // exactly CanEncode) — so fallback scans never hydrate blindly.
   bool PendingCanEstimate(const Combo& combo, const query::Query& q);
-  // Moves a pending combo into models_ (source Hydrate -> CreateMapped
-  // -> AttachWeights -> WarmUp). Success or failure, the combo leaves
-  // the pending set; on failure its queries fall back and nullptr
-  // returns.
+  // Moves a pending combo into models_ (source Hydrate ->
+  // BuildServeOnly). Success or failure, the combo leaves the pending
+  // set; on failure its queries fall back and nullptr returns.
   LmkgS* HydrateMapped(const Combo& combo);
   void TouchMapped(const Combo& combo);
+  // Views + scaler -> serve-only model (CreateMapped -> AttachWeights ->
+  // WarmUp): the one path every borrowed model takes, store hydration
+  // and lifecycle installs alike. Fails when the views do not fit this
+  // replica's architecture.
+  util::Result<std::unique_ptr<LmkgS>> BuildServeOnly(
+      const Combo& combo, const WeightViews& weights) const;
+  // Removes every trace of a combo: its model and its mapped state.
+  void EraseCombo(const Combo& combo);
 
   const rdf::Graph& graph_;
   AdaptiveLmkgConfig config_;

@@ -441,8 +441,8 @@ struct SaveHeader {
 
 }  // namespace
 
-util::Status Lmkg::SaveModels(std::ostream& out) {
-  LMKG_CHECK(built_) << "SaveModels before BuildModels";
+util::Status Lmkg::Save(std::ostream& out) {
+  LMKG_CHECK(built_) << "Save before BuildModels";
   SaveHeader header;
   header.kind = static_cast<uint8_t>(config_.kind);
   header.grouping = static_cast<uint8_t>(config_.grouping);
@@ -459,8 +459,8 @@ util::Status Lmkg::SaveModels(std::ostream& out) {
   return util::Status::Ok();
 }
 
-util::Status Lmkg::LoadModels(std::istream& in) {
-  LMKG_CHECK(!built_) << "LoadModels on an already built framework";
+util::Status Lmkg::Load(std::istream& in) {
+  LMKG_CHECK(!built_) << "Load on an already built framework";
   SaveHeader header;
   SaveHeader expected;
   in.read(reinterpret_cast<char*>(&header), sizeof(header));

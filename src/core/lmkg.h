@@ -103,11 +103,11 @@ class Lmkg : public CardinalityEstimator {
 
   /// Persists every trained model behind a versioned header ("train once
   /// in the creation phase, reuse across restarts"). The configuration is
-  /// not stored: LoadModels requires an un-built Lmkg constructed over
+  /// not stored: Load requires an un-built Lmkg constructed over
   /// the same graph with the same config, and fails with a Status error
   /// on magic/version/shape mismatches or truncation.
-  util::Status SaveModels(std::ostream& out);
-  util::Status LoadModels(std::istream& in);
+  util::Status Save(std::ostream& out);
+  util::Status Load(std::istream& in);
 
   size_t num_models() const { return models_.size(); }
   /// Direct access for benches (grouping experiments, Table II).
@@ -116,7 +116,7 @@ class Lmkg : public CardinalityEstimator {
  private:
   // One supervised model group: its encoder and the (topology, size)
   // combos it trains on. The layout is a pure function of the config, so
-  // BuildModels and LoadModels construct identical model stacks.
+  // BuildModels and Load construct identical model stacks.
   struct GroupSpec {
     std::unique_ptr<encoding::QueryEncoder> encoder;
     std::vector<std::pair<query::Topology, int>> combos;

@@ -66,6 +66,24 @@ std::vector<nn::ConstMatrixView> LmkgS::ParamViews() {
   return views;
 }
 
+WeightViews LmkgS::CopyWeights() {
+  const std::vector<nn::ConstMatrixView> params = ParamViews();
+  // Element-wise copies into fresh owned (64-byte-aligned) matrices:
+  // copying a borrowed Matrix would copy the borrow, not the bytes.
+  auto tensors = std::make_shared<std::vector<nn::Matrix>>();
+  tensors->reserve(params.size());
+  WeightViews weights;
+  for (const nn::ConstMatrixView& view : params) {
+    nn::Matrix& copy = tensors->emplace_back(view.rows, view.cols);
+    std::copy_n(view.data, view.rows * view.cols, copy.data());
+    weights.tensors.push_back({copy.data(), view.rows, view.cols});
+  }
+  weights.log_min = scaler_.log_min();
+  weights.log_max = scaler_.log_max();
+  weights.owner = std::move(tensors);
+  return weights;
+}
+
 std::vector<std::pair<size_t, size_t>> LmkgS::ExpectedParamShapes() const {
   std::vector<std::pair<size_t, size_t>> shapes;
   size_t in_dim = encoder_->width();
@@ -81,7 +99,7 @@ std::vector<std::pair<size_t, size_t>> LmkgS::ExpectedParamShapes() const {
 
 util::Status LmkgS::AttachWeights(
     std::span<const nn::ConstMatrixView> views, double log_min,
-    double log_max) {
+    double log_max, std::shared_ptr<const void> owner) {
   LMKG_CHECK(mapped_) << "AttachWeights on a trained LMKG-S";
   const auto shapes = ExpectedParamShapes();
   if (views.size() != shapes.size())
@@ -101,6 +119,7 @@ util::Status LmkgS::AttachWeights(
   LMKG_CHECK_EQ(params.size(), views.size());
   for (size_t i = 0; i < views.size(); ++i)
     params[i].value->BorrowConst(views[i]);
+  weights_owner_ = std::move(owner);
   scaler_.Restore(log_min, log_max);
   trained_ = true;
   return util::Status::Ok();

@@ -37,6 +37,17 @@ struct LmkgSConfig {
   uint64_t seed = 1;
 };
 
+/// Read-only weights a serve-only LmkgS borrows (LmkgS::AttachWeights):
+/// tensor views in ExpectedParamShapes order plus the label-scaler range.
+/// `owner`, if set, keeps the viewed bytes alive while any model borrows
+/// them (LmkgS::CopyWeights); store mappings leave it null.
+struct WeightViews {
+  std::vector<nn::ConstMatrixView> tensors;
+  double log_min = 0.0;
+  double log_max = 0.0;
+  std::shared_ptr<const void> owner;
+};
+
 /// LMKG-S — the supervised estimator (paper §VI-A): a multi-layer
 /// perceptron over a query encoding (pattern-bound or SG), trained on
 /// (query, true cardinality) pairs. Cardinalities are log-scaled then
@@ -47,12 +58,12 @@ class LmkgS : public CardinalityEstimator {
   LmkgS(std::unique_ptr<encoding::QueryEncoder> encoder,
         const LmkgSConfig& config);
 
-  /// Serve-only factory for the mmapped model store: builds the same
-  /// layer stack as the trained constructor but with EMPTY weight
-  /// matrices and no optimizer (no He init, no Adam state — nothing a
-  /// serving process pays for per model). The model cannot estimate
-  /// until AttachWeights points every parameter at store-owned memory;
-  /// Train CHECK-fails for the instance's lifetime.
+  /// Serve-only factory (store hydration, lifecycle installs): builds
+  /// the same layer stack as the trained constructor but with EMPTY
+  /// weight matrices and no optimizer (no He init, no Adam state —
+  /// nothing a serving process pays for per model). The model cannot
+  /// estimate until AttachWeights points every parameter at borrowed
+  /// memory; Train CHECK-fails for the instance's lifetime.
   static std::unique_ptr<LmkgS> CreateMapped(
       std::unique_ptr<encoding::QueryEncoder> encoder,
       const LmkgSConfig& config);
@@ -93,19 +104,27 @@ class LmkgS : public CardinalityEstimator {
   /// mapping) is alive.
   std::vector<nn::ConstMatrixView> ParamViews();
 
+  /// Copies the trained parameters into an immutable, reference-counted
+  /// set of 64-byte-aligned tensors and returns views over it (`owner`
+  /// holds the set). Every model attached to the result shares those
+  /// bytes; training this model further never reaches them.
+  WeightViews CopyWeights();
+
   /// Parameter shapes in CollectParams order ({W, b} per Dense layer)
   /// for the network this encoder/config pair builds — what the model
   /// store validates a segment's tensor table against before attaching.
   std::vector<std::pair<size_t, size_t>> ExpectedParamShapes() const;
 
-  /// Points every parameter at caller-owned read-only storage (mmapped
-  /// segment tensors; 64-byte-aligned for full kernel speed) and
-  /// restores the label scaler. `views` must match ExpectedParamShapes()
-  /// exactly — checked, not assumed. After Ok() the model estimates
-  /// directly from the mapped bytes with zero weight-matrix copies; the
-  /// storage must outlive the model. Only valid on CreateMapped models.
+  /// Points every parameter at read-only storage (mmapped segment
+  /// tensors or a CopyWeights set; 64-byte-aligned for full kernel
+  /// speed) and restores the label scaler. `views` must match
+  /// ExpectedParamShapes() exactly — checked, not assumed. After Ok()
+  /// the model estimates directly from the borrowed bytes with zero
+  /// weight-matrix copies and holds `owner`; without one, the storage
+  /// must outlive the model. Only valid on CreateMapped models.
   util::Status AttachWeights(std::span<const nn::ConstMatrixView> views,
-                             double log_min, double log_max);
+                             double log_min, double log_max,
+                             std::shared_ptr<const void> owner = nullptr);
 
   /// Runs one throwaway dense and one sparse single-row forward to size
   /// the activation/input buffers, so the first real estimate after an
@@ -114,7 +133,7 @@ class LmkgS : public CardinalityEstimator {
   void WarmUp();
 
   /// True for CreateMapped models (weights borrowed from a store
-  /// mapping, Train unavailable).
+  /// mapping or a CopyWeights set; Train unavailable).
   bool mapped() const { return mapped_; }
 
   const encoding::QueryEncoder& encoder() const { return *encoder_; }
@@ -152,6 +171,7 @@ class LmkgS : public CardinalityEstimator {
   nn::SparseRows sparse_input_buffer_;
   bool collect_stage_stats_ = false;
   StageStats stage_stats_;
+  std::shared_ptr<const void> weights_owner_;  // AttachWeights' owner
 };
 
 }  // namespace lmkg::core

@@ -98,7 +98,7 @@ struct FeedbackStatsSnapshot {
 /// (ServiceConfig::feedback) and their pairs are excluded from retrains,
 /// so a pathological query can neither be served badly forever nor poison
 /// the training mix. While deactivated, each recorded truth also probes a
-/// shadow copy of the model (kept current by the lifecycle after every
+/// probe copy of the model (kept current by the lifecycle on every
 /// swap); once the probed q-error recovers under the reactivation
 /// threshold, the next UpdateDeactivation routes the fingerprint back to
 /// the model.
@@ -172,14 +172,14 @@ class FeedbackCollector {
   std::vector<sampling::LabeledQuery> DrainTrainingPairs();
 
   /// Installs the shadow model probed by RecordTruth for deactivated
-  /// fingerprints (owned). The lifecycle hands a fresh replica here
-  /// after every full swap so recovery is measured against the model
-  /// actually serving.
+  /// fingerprints (owned). A lifecycle bootstraps it once, from a full
+  /// snapshot, on its first swap.
   void SetProbe(std::unique_ptr<core::CardinalityEstimator> probe);
 
   /// Runs `fn` on the owned probe under the probe mutex (nullptr if none
-  /// installed) — how the lifecycle applies a per-combo incremental
-  /// update to the probe without re-shipping a full snapshot.
+  /// installed) — how the lifecycle installs every swap's model changes
+  /// into the probe, exactly as into the serving replicas, so recovery
+  /// is measured against the models actually serving.
   void UpdateProbe(
       const std::function<void(core::CardinalityEstimator*)>& fn);
 

@@ -87,40 +87,25 @@ LifecycleReport ModelLifecycle::RunOnce() {
   report.adapt = shadow_->Adapt();
   const bool pool_changed =
       !report.adapt.created.empty() || !report.adapt.dropped.empty();
-  const bool weights_changed = !report.adapt.updated.empty();
-  if (pool_changed) {
-    // 3a. The POOL changed (models created or dropped): ship the whole
-    // registry — rehydrate one replica per slot from a full snapshot,
-    // swap each in, then advance the epoch once (the stale-cache-safety
-    // contract; see EstimatorService).
-    SwapAllReplicas();
-    report.swapped = true;
-    swaps_.fetch_add(1, std::memory_order_relaxed);
-  } else if (weights_changed) {
-    // 3b. Only WEIGHTS changed (feedback retrains): ship just the
-    // updated combos, loading each into every live replica in place
-    // under its shard's replica mutex — kilobytes over the wire instead
-    // of the whole registry. Same epoch protocol: mutate every replica,
-    // THEN advance once.
-    if (SwapUpdatedCombos(report.adapt.updated)) {
-      report.incremental = true;
-      incremental_swaps_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // A replica is not an AdaptiveLmkg — per-combo loads have nowhere
-      // to land; fall back to the full swap.
-      SwapAllReplicas();
+  if (pool_changed || !report.adapt.updated.empty()) {
+    // 3. Ship the change: one registry edit installed into every live
+    // replica (and the feedback probe), then one epoch advance.
+    report.swapped = InstallUpdate(report.adapt, &report.failed_installs);
+    if (report.swapped) {
+      report.incremental = !pool_changed;
+      swaps_.fetch_add(1, std::memory_order_relaxed);
+      if (report.incremental)
+        incremental_swaps_.fetch_add(1, std::memory_order_relaxed);
     }
-    report.swapped = true;
-    swaps_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // 3c. Persist the swap: whatever just went live also lands in the
+  // 4. Persist the swap: whatever just went live also lands in the
   // durable store, so the next cold start mmaps today's weights instead
   // of retraining (or serving yesterday's).
   if (report.swapped && config_.store != nullptr)
     report.persisted = PersistSwap(report.adapt, report.incremental);
 
-  // 4. Refresh the deactivation list from the rolling q-errors — every
+  // 5. Refresh the deactivation list from the rolling q-errors — every
   // cycle, swap or not: deactivation is driven by accumulated truths,
   // not by model changes, and the flip routes around the cache so it
   // needs no epoch bump of its own.
@@ -131,83 +116,51 @@ LifecycleReport ModelLifecycle::RunOnce() {
   return report;
 }
 
-void ModelLifecycle::SwapAllReplicas() {
-  std::ostringstream blob;
-  const util::Status status = shadow_->Save(blob);
-  LMKG_CHECK(status.ok()) << "lifecycle snapshot failed: "
-                          << status.message();
-  const std::string snapshot = blob.str();
-  for (size_t i = 0; i < service_->num_replicas(); ++i) {
-    std::unique_ptr<core::CardinalityEstimator> replica =
-        replica_factory_(snapshot);
-    LMKG_CHECK(replica != nullptr)
-        << "lifecycle replica factory returned null";
-    // The retired model is destroyed here, after the slot's mutex was
-    // released — no worker can still be inside it.
-    service_->ReplaceReplica(i, std::move(replica));
-  }
-  service_->AdvanceEpoch();
-  // The collector's recovery probe must track what actually serves, or
-  // reactivation would be judged against stale weights.
-  if (config_.feedback != nullptr)
-    config_.feedback->SetProbe(replica_factory_(snapshot));
-}
+bool ModelLifecycle::InstallUpdate(
+    const core::AdaptiveLmkg::AdaptReport& adapt, size_t* failed_installs) {
+  // Copy each created or retrained combo's weights out of the shadow
+  // ONCE; every slot below borrows those same immutable bytes.
+  core::AdaptiveLmkg::ModelUpdate update;
+  update.drop = adapt.dropped;
+  for (const auto* combos : {&adapt.created, &adapt.updated})
+    for (const core::AdaptiveLmkg::Combo& combo : *combos)
+      if (core::LmkgS* model = shadow_->FindModel(combo))
+        update.install.emplace_back(combo, model->CopyWeights());
 
-bool ModelLifecycle::SwapUpdatedCombos(
-    const std::vector<core::AdaptiveLmkg::Combo>& combos) {
-  // Serialize each updated combo ONCE; every replica (and the probe)
-  // loads the same blob.
-  std::vector<std::pair<core::AdaptiveLmkg::Combo, std::string>> blobs;
-  blobs.reserve(combos.size());
-  for (const core::AdaptiveLmkg::Combo& combo : combos) {
-    std::ostringstream out;
-    const util::Status status = shadow_->SaveModel(combo, out);
-    LMKG_CHECK(status.ok())
-        << "combo snapshot failed: " << status.message();
-    blobs.emplace_back(combo, out.str());
-  }
-  bool all_adaptive = true;
-  for (size_t i = 0; i < service_->num_replicas() && all_adaptive; ++i) {
+  // A slot that cannot take the edit keeps serving its old models: the
+  // failure is counted and logged, never fatal.
+  const auto install = [&](core::CardinalityEstimator* slot) {
+    auto* adaptive = dynamic_cast<core::AdaptiveLmkg*>(slot);
+    const util::Status status =
+        adaptive == nullptr
+            ? util::Status::Error("slot holds no AdaptiveLmkg")
+            : adaptive->Install(update);
+    if (status.ok()) return true;
+    ++*failed_installs;
+    std::cerr << "[lifecycle] install failed: " << status.message() << "\n";
+    return false;
+  };
+  // Edit every replica under its replica mutex, THEN advance the epoch
+  // once (the stale-cache-safety contract; see EstimatorService).
+  bool changed = false;
+  for (size_t i = 0; i < service_->num_replicas(); ++i)
     service_->WithReplica(i, [&](core::CardinalityEstimator* replica) {
-      auto* adaptive = dynamic_cast<core::AdaptiveLmkg*>(replica);
-      if (adaptive == nullptr) {
-        all_adaptive = false;
-        return;
-      }
-      for (const auto& [combo, blob] : blobs) {
-        std::istringstream in(blob);
-        const util::Status status = adaptive->LoadModel(combo, in);
-        LMKG_CHECK(status.ok())
-            << "combo load failed: " << status.message();
-      }
+      if (install(replica)) changed = true;
     });
-  }
-  if (!all_adaptive) return false;
-  service_->AdvanceEpoch();
+  if (changed) service_->AdvanceEpoch();
+
+  // The collector's recovery probe must track what actually serves, or
+  // reactivation would be judged against stale weights. The factory's
+  // one job is to bootstrap it from a full snapshot on the first swap; a
+  // failed bootstrap leaves no probe, which counts as a failed install.
   if (config_.feedback != nullptr) {
-    if (!config_.feedback->has_probe()) {
-      // First swap was incremental: the probe needs a full rehydration
-      // once; subsequent incremental swaps patch it combo by combo.
-      std::ostringstream out;
-      const util::Status status = shadow_->Save(out);
-      LMKG_CHECK(status.ok())
-          << "probe snapshot failed: " << status.message();
-      config_.feedback->SetProbe(replica_factory_(out.str()));
-    } else {
-      config_.feedback->UpdateProbe(
-          [&](core::CardinalityEstimator* probe) {
-            auto* adaptive = dynamic_cast<core::AdaptiveLmkg*>(probe);
-            if (adaptive == nullptr) return;
-            for (const auto& [combo, blob] : blobs) {
-              std::istringstream in(blob);
-              const util::Status status = adaptive->LoadModel(combo, in);
-              LMKG_CHECK(status.ok())
-                  << "probe combo load failed: " << status.message();
-            }
-          });
-    }
+    std::ostringstream snapshot;
+    if (!config_.feedback->has_probe() && shadow_->Save(snapshot).ok())
+      config_.feedback->SetProbe(replica_factory_(snapshot.str()));
+    config_.feedback->UpdateProbe(
+        [&](core::CardinalityEstimator* probe) { (void)install(probe); });
   }
-  return true;
+  return changed;
 }
 
 bool ModelLifecycle::PersistSwap(
@@ -266,9 +219,11 @@ ModelLifecycle::ReplicaFactory MakeAdaptiveReplicaFactory(
     auto replica =
         std::make_unique<core::AdaptiveLmkg>(graph, replica_config);
     std::istringstream in(snapshot);
-    const util::Status status = replica->Load(in);
-    LMKG_CHECK(status.ok())
-        << "replica rehydration failed: " << status.message();
+    if (const util::Status status = replica->Load(in); !status.ok()) {
+      std::cerr << "[lifecycle] replica rehydration failed: "
+                << status.message() << "\n";
+      return nullptr;
+    }
     return replica;
   };
 }

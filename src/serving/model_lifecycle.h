@@ -35,10 +35,11 @@ struct ModelLifecycleConfig {
   /// Durable model store to persist swaps into (borrowed; must outlive
   /// the lifecycle; nullptr disables persistence). After every swap the
   /// changed combos are written as segments under `store_tenant` and
-  /// committed in one manifest bump — an incremental swap ships single
-  /// segments, a full swap rewrites the tenant's whole set (and removes
-  /// segments for dropped combos). A crashed process then cold-starts
-  /// by mmapping the store instead of retraining.
+  /// committed in one manifest bump — an incremental swap writes the
+  /// retrained combos' segments, a pool change rewrites the tenant's
+  /// whole set (and removes segments for dropped combos). A crashed
+  /// process then cold-starts by mmapping the store instead of
+  /// retraining.
   store::ModelStore* store = nullptr;
   std::string store_tenant = "default";
   /// Executor-feedback loop (borrowed; must outlive the lifecycle;
@@ -58,13 +59,16 @@ struct LifecycleReport {
   /// Models the shadow created/dropped/feedback-retrained (empty when
   /// Adapt was skipped or found nothing to do).
   core::AdaptiveLmkg::AdaptReport adapt;
-  /// Whether the serving replicas changed (implies the cache epoch
-  /// advanced).
+  /// Whether at least one serving replica installed the cycle's model
+  /// changes (implies the cache epoch advanced once).
   bool swapped = false;
-  /// True when the change shipped as per-combo incremental loads into
-  /// the live replicas (only feedback-retrained combos crossed the
-  /// wire) instead of whole-registry replica swaps.
+  /// True for a swap that created and dropped no combo — only
+  /// feedback-retrained weights changed.
   bool incremental = false;
+  /// Serving replicas, plus the feedback probe, that could not take the
+  /// cycle's install (not an AdaptiveLmkg, or weights that do not fit
+  /// its architecture) and keep serving their previous models.
+  size_t failed_installs = 0;
   /// Deactivation-list changes this cycle (zeroes without a collector).
   DeactivationReport deactivation;
   /// True when a swap's changes reached the configured model store
@@ -85,13 +89,18 @@ struct LifecycleReport {
 /// Each cycle: (1) drain the EstimatorService workload tap and mirror the
 /// sampled queries into the shadow AdaptiveLmkg's WorkloadMonitor;
 /// (2) run Adapt() on the shadow — all training happens on the lifecycle
-/// thread, on a model no worker touches; (3) if the model pool changed,
-/// snapshot the shadow (AdaptiveLmkg::Save), rehydrate one fresh replica
-/// per serving slot through the caller's ReplicaFactory, swap each in
-/// under its replica mutex, and advance the service epoch — which
-/// atomically turns every result cached against the old generation into
-/// a miss. Workers at most wait out a pointer swap; requests keep
-/// flowing on the old generation until the instant theirs is replaced.
+/// thread, on a model no worker touches; (3) if any combo was created,
+/// dropped or retrained, copy each changed combo's weights out of the
+/// shadow ONCE into an immutable, reference-counted tensor set, install
+/// serve-only models over it into every replica (and the feedback
+/// probe) under its replica mutex — a plain registry edit that also
+/// drops the combos the shadow dropped — and advance the service epoch
+/// once, which atomically turns every result cached against the old
+/// generation into a miss. All slots borrow the same bytes, so a swap
+/// holds one weight copy per changed combo whatever the shard count.
+/// Workers at most wait out the registry edit; a slot that rejects the
+/// install keeps serving its old models (LifecycleReport::
+/// failed_installs). (4) Persist the change to the configured store.
 ///
 /// Threading: the shadow is the lifecycle's alone — the owner must not
 /// call into it while the lifecycle runs (Stop() first). RunOnce is
@@ -99,10 +108,12 @@ struct LifecycleReport {
 /// thread polls is safe, if unusual.
 class ModelLifecycle {
  public:
-  /// Rehydrates one serving replica from an AdaptiveLmkg snapshot blob.
-  /// Typical shape: construct an AdaptiveLmkg over the same graph/config
-  /// with `initial_combos` cleared (skip throwaway training), Load the
-  /// blob, return it.
+  /// Rehydrates one AdaptiveLmkg from a full snapshot blob; nullptr on
+  /// failure. Callers use it to build the initial serving replicas; the
+  /// lifecycle itself calls it only to bootstrap the feedback probe on
+  /// the first swap. Typical shape: construct an AdaptiveLmkg over the
+  /// same graph/config with `initial_combos` cleared (skip throwaway
+  /// training), Load the blob, return it.
   using ReplicaFactory =
       std::function<std::unique_ptr<core::CardinalityEstimator>(
           const std::string& snapshot)>;
@@ -133,21 +144,20 @@ class ModelLifecycle {
     return cycles_.load(std::memory_order_relaxed);
   }
   uint64_t swaps() const { return swaps_.load(std::memory_order_relaxed); }
-  /// Swaps that shipped per-combo (subset of swaps()).
+  /// Swaps that created and dropped no combo (subset of swaps()).
   uint64_t incremental_swaps() const {
     return incremental_swaps_.load(std::memory_order_relaxed);
   }
 
  private:
   void Loop();
-  // Full-registry swap: snapshot the shadow, rehydrate + replace every
-  // replica, refresh the collector's probe. Caller advances the epoch.
-  void SwapAllReplicas();
-  // Per-combo swap: serialize each updated combo once, load it into
-  // every live replica in place (and the probe). Returns false if any
-  // replica is not an AdaptiveLmkg — the caller falls back to a full
-  // swap. Caller advances the epoch on success.
-  bool SwapUpdatedCombos(const std::vector<core::AdaptiveLmkg::Combo>& combos);
+  // The one swap path: exports the adapt report's created/retrained
+  // combos from the shadow as one shared weight copy each, installs them
+  // (and the drops) into every replica and the probe, and advances the
+  // epoch once if any replica changed. Returns whether one did; slots
+  // that reject the install are added to *failed_installs.
+  bool InstallUpdate(const core::AdaptiveLmkg::AdaptReport& adapt,
+                     size_t* failed_installs);
   // Writes this cycle's model changes into config_.store and commits.
   // `incremental` ships only the adapt report's updated combos; a full
   // persist reconciles the tenant's whole segment set against the
@@ -179,10 +189,9 @@ class ModelLifecycle {
 
 /// The canonical ReplicaFactory for AdaptiveLmkg deployments: rehydrates
 /// each replica over `graph` with `config` (initial_combos cleared — the
-/// snapshot carries the real models) and CHECK-fails on a Load error,
-/// since a lifecycle swap has no recovery path for a corrupt
-/// self-produced snapshot. `graph` is captured by reference and must
-/// outlive the factory and every replica it produces.
+/// snapshot carries the real models); a Load error is logged and returns
+/// nullptr. `graph` is captured by reference and must outlive the
+/// factory and every replica it produces.
 ModelLifecycle::ReplicaFactory MakeAdaptiveReplicaFactory(
     const rdf::Graph& graph, const core::AdaptiveLmkgConfig& config);
 

@@ -17,13 +17,14 @@ class CacheSource : public core::AdaptiveLmkg::MappedSource {
   CacheSource(StoreCache* cache, std::string tenant)
       : cache_(cache), tenant_(std::move(tenant)) {}
 
-  std::optional<core::AdaptiveLmkg::MappedWeights> Hydrate(
+  std::optional<core::WeightViews> Hydrate(
       const core::WorkloadMonitor::Combo& combo) override {
     const MappedSegment* segment = nullptr;
     if (!cache_->Acquire(tenant_, ToComboKey(combo), &segment).ok())
       return std::nullopt;
-    return core::AdaptiveLmkg::MappedWeights{
-        segment->tensors(), segment->log_min(), segment->log_max()};
+    // No owner: the cache keeps the mapping for the replica's lifetime.
+    return core::WeightViews{segment->tensors(), segment->log_min(),
+                             segment->log_max(), nullptr};
   }
 
   void Touch(const core::WorkloadMonitor::Combo& combo) override {

@@ -2,7 +2,7 @@
 // never-blocking store and decayed q-error tracking, the deactivation
 // list (deactivate -> serve from fallback -> probe -> reactivate), the
 // training-set blender, AdaptiveLmkg's feedback ingestion and per-combo
-// model snapshots, the executor truth sink, the outlier buffer's online
+// export/install round trip, the executor truth sink, the outlier buffer's online
 // insert + mutation hook, and the end-to-end incremental lifecycle
 // cycle. The concurrent-stress test targets the TSan CI leg.
 #include "serving/feedback_collector.h"
@@ -455,7 +455,7 @@ TEST_F(BlendTest, OutlierBufferInsertKeepsTopAndFiresHook) {
   EXPECT_DOUBLE_EQ(buffer.EstimateCardinality(pool[1].query), 25.0);
 }
 
-// --- AdaptiveLmkg: feedback ingestion + per-combo snapshots ------------------
+// --- AdaptiveLmkg: feedback ingestion + per-combo export/install ------------
 
 class AdaptiveFeedbackTest : public ::testing::Test {
  protected:
@@ -508,31 +508,65 @@ TEST_F(AdaptiveFeedbackTest, AdaptRetrainsComboFromIngestedFeedback) {
   EXPECT_EQ(model.pending_feedback_pairs(), 0u);
 }
 
-TEST_F(AdaptiveFeedbackTest, PerComboSnapshotRoundTripsExactly) {
+TEST_F(AdaptiveFeedbackTest, FeedbackCapKeepsNewestPairsInArrivalOrder) {
+  core::AdaptiveLmkgConfig config = SmallConfig();
+  config.initial_combos.clear();
+  config.feedback_pending_cap = 3;
+  core::AdaptiveLmkg model(graph_, config);
+  const core::AdaptiveLmkg::Combo combo{Topology::kStar, 2};
+  auto pool = StarWorkload(graph_, 2, 12, 53);
+  ASSERT_GE(pool.size(), 6u);
+  for (size_t i = 0; i < pool.size(); ++i)
+    pool[i].cardinality = static_cast<double>(i);  // arrival stamp
+  const auto stamps = [&] {
+    std::vector<double> out;
+    for (const auto& lq : model.pending_feedback(combo))
+      out.push_back(lq.cardinality);
+    return out;
+  };
+
+  // One drain over the cap keeps its newest three, oldest first.
+  model.IngestFeedback({pool.begin(), pool.begin() + 5});
+  EXPECT_EQ(stamps(), (std::vector<double>{2.0, 3.0, 4.0}));
+  // A later drain evicts from the front of what is already pending.
+  model.IngestFeedback({pool[5]});
+  EXPECT_EQ(stamps(), (std::vector<double>{3.0, 4.0, 5.0}));
+  EXPECT_EQ(model.pending_feedback_pairs(), 3u);
+}
+
+TEST_F(AdaptiveFeedbackTest, PerComboExportInstallRoundTripsExactly) {
   core::AdaptiveLmkg donor(graph_, SmallConfig());
   const core::AdaptiveLmkg::Combo combo{Topology::kStar, 2};
-
-  std::ostringstream blob;
-  ASSERT_TRUE(donor.SaveModel(combo, blob).ok());
+  core::AdaptiveLmkg::ModelUpdate update;
+  update.install.emplace_back(combo, donor.FindModel(combo)->CopyWeights());
 
   core::AdaptiveLmkgConfig target_config = SmallConfig();
   target_config.initial_combos.clear();
   core::AdaptiveLmkg target(graph_, target_config);
   ASSERT_FALSE(target.Covers(combo));
-  std::istringstream in(blob.str());
-  ASSERT_TRUE(target.LoadModel(combo, in).ok());
+  ASSERT_TRUE(target.Install(update).ok());
   EXPECT_TRUE(target.Covers(combo));
+  EXPECT_TRUE(target.FindModel(combo)->mapped());  // serve-only
 
-  for (auto& lq : StarWorkload(graph_, 2, 12, 41))
+  const auto queries = StarWorkload(graph_, 2, 12, 41);
+  for (const auto& lq : queries)
     EXPECT_DOUBLE_EQ(target.EstimateCardinality(lq.query),
                      donor.EstimateCardinality(lq.query));
 
-  // A combo without a model cannot snapshot; garbage cannot load.
-  std::ostringstream missing;
-  EXPECT_FALSE(
-      donor.SaveModel({Topology::kChain, 3}, missing).ok());
-  std::istringstream garbage("not a combo snapshot");
-  EXPECT_FALSE(target.LoadModel(combo, garbage).ok());
+  // A combo without a model has nothing to export.
+  EXPECT_EQ(donor.FindModel({Topology::kChain, 3}), nullptr);
+  // A truncated tensor set and weights of another architecture are both
+  // rejected, and the rejected install changes nothing.
+  core::AdaptiveLmkg::ModelUpdate truncated = update;
+  truncated.install[0].second.tensors.pop_back();
+  truncated.drop.push_back({Topology::kStar, 2});
+  EXPECT_FALSE(target.Install(truncated).ok());
+  EXPECT_TRUE(target.Covers(combo));
+  core::AdaptiveLmkgConfig wide = target_config;
+  wide.s_config.hidden_dim = 32;
+  core::AdaptiveLmkg mismatched(graph_, wide);
+  EXPECT_FALSE(mismatched.Install(update).ok());
+  EXPECT_FALSE(mismatched.Covers(combo));
 }
 
 // --- end-to-end: lifecycle drains feedback and swaps incrementally -----------
@@ -573,12 +607,12 @@ TEST_F(AdaptiveFeedbackTest, LifecycleFeedbackCycleSwapsIncrementally) {
   ASSERT_EQ(report.adapt.updated.size(), 1u);
   EXPECT_TRUE(report.adapt.created.empty());
   EXPECT_TRUE(report.swapped);
-  // Only weights changed: the swap shipped just the retrained combo,
-  // loaded into the live replica in place.
+  // Only weights changed: the swap installed just the retrained combo
+  // into the live replica.
   EXPECT_TRUE(report.incremental);
   EXPECT_EQ(lifecycle.incremental_swaps(), 1u);
   EXPECT_EQ(service.epoch(), 1u);
-  // The first incremental swap lazily installed the recovery probe.
+  // The first swap bootstrapped the recovery probe.
   EXPECT_TRUE(collector.has_probe());
 
   // The served replica now matches the retrained shadow bit for bit.

@@ -2,8 +2,10 @@
 // bugfix — no estimate computed by a pre-swap model generation may ever
 // be served after the swap's epoch bump), hot replica swaps under
 // concurrent clients, AdaptiveLmkg versioned snapshots (Save -> Load
-// reproduces estimates bit-identically), and the background
-// drift->adapt->hot-swap loop of serving::ModelLifecycle. Together with
+// reproduces estimates bit-identically), the background
+// drift->adapt->hot-swap loop of serving::ModelLifecycle, and its single
+// install path (one shared weight copy per changed combo, fail-soft
+// replicas, installs under concurrent clients). Together with
 // serving_test.cc this suite is the target of the TSan CI leg.
 #include "serving/model_lifecycle.h"
 
@@ -19,6 +21,7 @@
 
 #include "core/adaptive.h"
 #include "core/lmkg_s.h"
+#include "core/single_pattern.h"
 #include "encoding/query_encoder.h"
 #include "query/fingerprint.h"
 #include "sampling/workload.h"
@@ -126,8 +129,8 @@ class HotSwapTest : public ::testing::Test {
     blob_b_ = TrainBlob(train, /*seed=*/8);
 
     workload_ = MakeServingWorkload(graph_, 20, 5);
-    auto model_a = LoadModel(blob_a_, 7);
-    auto model_b = LoadModel(blob_b_, 8);
+    auto model_a = ModelFromBlob(blob_a_, 7);
+    auto model_b = ModelFromBlob(blob_b_, 8);
     expected_a_.reserve(workload_.size());
     expected_b_.reserve(workload_.size());
     bool any_difference = false;
@@ -165,8 +168,8 @@ class HotSwapTest : public ::testing::Test {
                                    encoding::TermEncoding::kBinary);
   }
 
-  std::unique_ptr<core::LmkgS> LoadModel(const std::string& blob,
-                                         uint64_t seed) {
+  std::unique_ptr<core::LmkgS> ModelFromBlob(const std::string& blob,
+                                             uint64_t seed) {
     auto model =
         std::make_unique<core::LmkgS>(NewEncoder(), ModelConfig(seed));
     std::istringstream in(blob);
@@ -178,7 +181,7 @@ class HotSwapTest : public ::testing::Test {
       const std::string& blob, uint64_t seed, size_t n) {
     std::vector<std::unique_ptr<core::CardinalityEstimator>> replicas;
     for (size_t i = 0; i < n; ++i)
-      replicas.push_back(LoadModel(blob, seed));
+      replicas.push_back(ModelFromBlob(blob, seed));
     return replicas;
   }
 
@@ -236,7 +239,7 @@ TEST_F(HotSwapTest, MidStreamSwapServesZeroStaleCacheValues) {
 
   // Hot-swap: every replica first, then ONE epoch bump.
   for (size_t r = 0; r < service.num_replicas(); ++r) {
-    auto old_model = service.ReplaceReplica(r, LoadModel(blob_b_, 8));
+    auto old_model = service.ReplaceReplica(r, ModelFromBlob(blob_b_, 8));
     EXPECT_NE(old_model, nullptr);
   }
   service.AdvanceEpoch();
@@ -289,7 +292,7 @@ TEST_F(HotSwapTest, SwapsRacingClientsNeverMixGenerations) {
   for (int swap = 0; swap < 3; ++swap) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     for (size_t r = 0; r < service.num_replicas(); ++r)
-      service.ReplaceReplica(r, LoadModel(*blobs[swap], seeds[swap]));
+      service.ReplaceReplica(r, ModelFromBlob(*blobs[swap], seeds[swap]));
     service.AdvanceEpoch();
   }
   for (auto& t : clients) t.join();
@@ -319,16 +322,22 @@ class SnapshotTest : public ::testing::Test {
     return config;
   }
 
-  std::vector<Query> Workload(Topology topology, int size, size_t count,
-                              uint64_t seed) {
+  std::vector<sampling::LabeledQuery> LabeledWorkload(Topology topology,
+                                                      int size, size_t count,
+                                                      uint64_t seed) {
     sampling::WorkloadGenerator generator(graph_);
     sampling::WorkloadGenerator::Options options;
     options.topology = topology;
     options.query_size = size;
     options.count = count;
     options.seed = seed;
+    return generator.Generate(options);
+  }
+
+  std::vector<Query> Workload(Topology topology, int size, size_t count,
+                              uint64_t seed) {
     std::vector<Query> queries;
-    for (auto& lq : generator.Generate(options))
+    for (auto& lq : LabeledWorkload(topology, size, count, seed))
       queries.push_back(std::move(lq.query));
     return queries;
   }
@@ -428,6 +437,94 @@ class ModelLifecycleTest : public SnapshotTest {
     std::vector<std::unique_ptr<core::CardinalityEstimator>> replicas;
     for (size_t i = 0; i < n; ++i) replicas.push_back(factory(blob.str()));
     return replicas;
+  }
+
+  // Star-2 and chain-3 (model-served), size-1 (exact) and chain-4
+  // (independence fallback) probes.
+  std::vector<Query> Probes() {
+    std::vector<Query> probes;
+    for (auto& q : Workload(Topology::kStar, 2, 10, 31)) probes.push_back(q);
+    for (auto& q : Workload(Topology::kChain, 3, 10, 37)) probes.push_back(q);
+    for (auto& q : Workload(Topology::kStar, 1, 5, 41)) probes.push_back(q);
+    for (auto& q : Workload(Topology::kChain, 4, 5, 43)) probes.push_back(q);
+    return probes;
+  }
+
+  static std::vector<double> Estimates(core::CardinalityEstimator* model,
+                                       const std::vector<Query>& queries) {
+    std::vector<double> out;
+    for (const Query& q : queries) out.push_back(model->EstimateCardinality(q));
+    return out;
+  }
+
+  // What replica `index` answers, straight from the model (no cache).
+  static std::vector<double> ReplicaEstimates(
+      EstimatorService& service, size_t index,
+      const std::vector<Query>& queries) {
+    std::vector<double> out;
+    service.WithReplica(index, [&](core::CardinalityEstimator* replica) {
+      out = Estimates(replica, queries);
+    });
+    return out;
+  }
+
+  static std::vector<double> ProbeEstimates(
+      FeedbackCollector& collector, const std::vector<Query>& queries) {
+    std::vector<double> out;
+    collector.UpdateProbe([&](core::CardinalityEstimator* probe) {
+      if (probe != nullptr) out = Estimates(probe, queries);
+    });
+    return out;
+  }
+
+  // The bytes a slot's model for `combo` reads its weights from.
+  static std::vector<const float*> WeightBytes(
+      core::CardinalityEstimator* slot, const core::AdaptiveLmkg::Combo& combo) {
+    std::vector<const float*> bytes;
+    auto* adaptive = dynamic_cast<core::AdaptiveLmkg*>(slot);
+    core::LmkgS* model = adaptive == nullptr ? nullptr : adaptive->FindModel(combo);
+    if (model != nullptr)
+      for (const nn::ConstMatrixView& view : model->ParamViews())
+        bytes.push_back(view.data);
+    return bytes;
+  }
+
+  // (a) every replica and the probe answer exactly like a fresh
+  // rehydration of the shadow's snapshot; (b) for each changed combo,
+  // all of them borrow ONE copy of the weights — not the shadow's own.
+  void ExpectSlotsMatchShadow(
+      core::AdaptiveLmkg* shadow, EstimatorService& service,
+      FeedbackCollector& collector,
+      const std::vector<core::AdaptiveLmkg::Combo>& changed) {
+    std::ostringstream blob;
+    ASSERT_TRUE(shadow->Save(blob).ok());
+    auto reference = Factory()(blob.str());
+    ASSERT_NE(reference, nullptr);
+    const std::vector<Query> probes = Probes();
+    const std::vector<double> expected = Estimates(reference.get(), probes);
+    for (size_t i = 0; i < service.num_replicas(); ++i)
+      EXPECT_EQ(ReplicaEstimates(service, i, probes), expected) << i;
+    EXPECT_EQ(ProbeEstimates(collector, probes), expected);
+
+    for (const core::AdaptiveLmkg::Combo& combo : changed) {
+      const std::vector<const float*> shadow_bytes =
+          WeightBytes(shadow, combo);
+      std::vector<const float*> first;
+      service.WithReplica(0, [&](core::CardinalityEstimator* replica) {
+        first = WeightBytes(replica, combo);
+      });
+      ASSERT_EQ(first.size(), shadow_bytes.size());
+      ASSERT_FALSE(first.empty());
+      for (size_t t = 0; t < first.size(); ++t)
+        EXPECT_NE(first[t], shadow_bytes[t]) << "aliases the shadow";
+      for (size_t i = 1; i < service.num_replicas(); ++i)
+        service.WithReplica(i, [&](core::CardinalityEstimator* replica) {
+          EXPECT_EQ(WeightBytes(replica, combo), first) << i;
+        });
+      collector.UpdateProbe([&](core::CardinalityEstimator* probe) {
+        EXPECT_EQ(WeightBytes(probe, combo), first) << "probe";
+      });
+    }
   }
 };
 
@@ -556,6 +653,171 @@ TEST_F(ModelLifecycleTest, ConcurrentStopCallsAreSafeAndIdempotent) {
   // Still callable afterwards (idempotent), and the destructor's own
   // Stop must also be a no-op.
   lifecycle.Stop();
+}
+
+// The single install path end to end on a 2-replica service with a
+// feedback probe: a pool change, then a feedback retrain, each shipped as
+// one shared weight copy per changed combo.
+TEST_F(ModelLifecycleTest, InstallsMatchSnapshotAndShareOneWeightCopy) {
+  core::AdaptiveLmkg shadow(graph_, SmallConfig());
+  core::IndependenceEstimator fallback(graph_);
+  FeedbackCollector collector(&fallback, FeedbackConfig{});
+
+  ServiceConfig service_config;
+  service_config.cache_capacity = 1024;
+  service_config.workload_tap_capacity = 256;
+  service_config.feedback = &collector;
+  EstimatorService service(ReplicasFromShadow(&shadow, 2), service_config);
+
+  ModelLifecycleConfig lifecycle_config;
+  lifecycle_config.background = false;
+  lifecycle_config.min_samples_per_cycle = 1;
+  lifecycle_config.feedback = &collector;
+  ModelLifecycle lifecycle(&service, &shadow, Factory(), lifecycle_config);
+
+  // Cycle 1 changes the pool: drift to chain-3 creates its model.
+  const core::AdaptiveLmkg::Combo chain3{Topology::kChain, 3};
+  auto chains = LabeledWorkload(Topology::kChain, 3, 40, 9);
+  ASSERT_GE(chains.size(), 25u);
+  for (const auto& lq : chains) (void)service.Estimate(lq.query);
+  LifecycleReport created = lifecycle.RunOnce();
+  ASSERT_EQ(created.adapt.created,
+            std::vector<core::AdaptiveLmkg::Combo>{chain3});
+  EXPECT_TRUE(created.swapped);
+  EXPECT_FALSE(created.incremental);
+  EXPECT_EQ(created.failed_installs, 0u);
+  EXPECT_EQ(service.epoch(), 1u);
+  ASSERT_TRUE(collector.has_probe());
+  ExpectSlotsMatchShadow(&shadow, service, collector, created.adapt.created);
+
+  // Cycle 2 retrains: the executed chain-3 truths flow back.
+  for (const auto& lq : chains) {
+    (void)service.Estimate(lq.query);
+    collector.RecordTruth(lq.query, lq.cardinality);
+  }
+  LifecycleReport retrained = lifecycle.RunOnce();
+  ASSERT_EQ(retrained.adapt.updated,
+            std::vector<core::AdaptiveLmkg::Combo>{chain3});
+  EXPECT_TRUE(retrained.adapt.created.empty());
+  EXPECT_TRUE(retrained.swapped);
+  EXPECT_TRUE(retrained.incremental);
+  EXPECT_EQ(retrained.failed_installs, 0u);
+  EXPECT_EQ(lifecycle.incremental_swaps(), 1u);
+  EXPECT_EQ(service.epoch(), 2u);
+  ExpectSlotsMatchShadow(&shadow, service, collector,
+                         retrained.adapt.updated);
+
+  // (c) Training the shadow again WITHOUT a swap must not reach the
+  // served models: their weights are a copy, not the shadow's.
+  const std::vector<Query> probes = Probes();
+  const std::vector<double> served = ReplicaEstimates(service, 0, probes);
+  const std::vector<double> probed = ProbeEstimates(collector, probes);
+  const std::vector<double> shadow_before = Estimates(&shadow, probes);
+  shadow.FindModel(chain3)->Train(chains);
+  EXPECT_NE(Estimates(&shadow, probes), shadow_before);
+  for (size_t i = 0; i < service.num_replicas(); ++i)
+    EXPECT_EQ(ReplicaEstimates(service, i, probes), served) << i;
+  EXPECT_EQ(ProbeEstimates(collector, probes), probed);
+}
+
+// Fail soft: replicas that cannot take an install keep serving their old
+// models, the cycle counts them, and the process lives on.
+TEST_F(ModelLifecycleTest, FailedInstallKeepsOldModelsServing) {
+  core::AdaptiveLmkg shadow(graph_, SmallConfig());
+  // Replica 0 rehydrates the shadow. Replica 1 was built with a wider
+  // hidden layer, so none of the shadow's weights fit it; replica 2 is
+  // not an AdaptiveLmkg at all.
+  auto replicas = ReplicasFromShadow(&shadow, 1);
+  core::AdaptiveLmkgConfig wide = SmallConfig();
+  wide.s_config.hidden_dim = 48;
+  replicas.push_back(std::make_unique<core::AdaptiveLmkg>(graph_, wide));
+  replicas.push_back(std::make_unique<core::IndependenceEstimator>(graph_));
+  ServiceConfig service_config;
+  service_config.workload_tap_capacity = 256;
+  EstimatorService service(std::move(replicas), service_config);
+
+  ModelLifecycleConfig lifecycle_config;
+  lifecycle_config.background = false;
+  lifecycle_config.min_samples_per_cycle = 1;
+  ModelLifecycle lifecycle(&service, &shadow, Factory(), lifecycle_config);
+
+  const std::vector<Query> probes = Probes();
+  const std::vector<double> wide_before = ReplicaEstimates(service, 1, probes);
+  const std::vector<double> plain_before =
+      ReplicaEstimates(service, 2, probes);
+
+  for (const Query& q : Workload(Topology::kChain, 3, 40, 9))
+    (void)service.Estimate(q);
+  LifecycleReport report = lifecycle.RunOnce();
+  ASSERT_EQ(report.adapt.created.size(), 1u);
+  EXPECT_TRUE(report.swapped);  // replica 0 took it
+  EXPECT_EQ(report.failed_installs, 2u);
+  EXPECT_EQ(service.epoch(), 1u);
+
+  EXPECT_EQ(ReplicaEstimates(service, 1, probes), wide_before);
+  EXPECT_EQ(ReplicaEstimates(service, 2, probes), plain_before);
+  std::ostringstream blob;
+  ASSERT_TRUE(shadow.Save(blob).ok());
+  auto reference = Factory()(blob.str());
+  EXPECT_EQ(ReplicaEstimates(service, 0, probes),
+            Estimates(reference.get(), probes));
+  // The bad replica really is still on its old registry.
+  service.WithReplica(1, [](core::CardinalityEstimator* replica) {
+    EXPECT_FALSE(static_cast<core::AdaptiveLmkg*>(replica)->Covers(
+        {Topology::kChain, 3}));
+  });
+}
+
+// Clients keep estimating while a pool change and feedback retrains
+// install into their replicas (the TSan leg's view of the install path).
+TEST_F(ModelLifecycleTest, InstallsLandUnderConcurrentClients) {
+  core::AdaptiveLmkg shadow(graph_, SmallConfig());
+  core::IndependenceEstimator fallback(graph_);
+  FeedbackCollector collector(&fallback, FeedbackConfig{});
+
+  ServiceConfig service_config;
+  service_config.max_batch_size = 16;
+  service_config.cache_capacity = 1024;
+  service_config.workload_tap_capacity = 256;
+  service_config.feedback = &collector;
+  EstimatorService service(ReplicasFromShadow(&shadow, 2), service_config);
+
+  ModelLifecycleConfig lifecycle_config;
+  lifecycle_config.background = false;
+  lifecycle_config.min_samples_per_cycle = 1;
+  lifecycle_config.feedback = &collector;
+  ModelLifecycle lifecycle(&service, &shadow, Factory(), lifecycle_config);
+
+  auto chains = LabeledWorkload(Topology::kChain, 3, 40, 9);
+  const std::vector<Query> stars = Workload(Topology::kStar, 2, 20, 5);
+  ASSERT_GE(chains.size(), 25u);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 2; ++c)
+    clients.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (const Query& q : stars) (void)service.Estimate(q);
+        for (const auto& lq : chains) (void)service.Estimate(lq.query);
+      }
+    });
+
+  for (const auto& lq : chains) (void)service.Estimate(lq.query);
+  const LifecycleReport created = lifecycle.RunOnce();
+  for (size_t cycle = 0;
+       cycle < 6 && lifecycle.incremental_swaps() < 2; ++cycle) {
+    for (const auto& lq : chains) {
+      (void)service.Estimate(lq.query);
+      collector.RecordTruth(lq.query, lq.cardinality);
+    }
+    (void)lifecycle.RunOnce();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : clients) t.join();
+
+  ASSERT_EQ(created.adapt.created.size(), 1u);
+  EXPECT_TRUE(created.swapped);
+  EXPECT_GE(lifecycle.incremental_swaps(), 1u);
+  ExpectSlotsMatchShadow(&shadow, service, collector, {});
 }
 
 }  // namespace

@@ -244,10 +244,10 @@ TEST_F(FrameworkPersistenceTest, SupervisedRoundTripPreservesEstimates) {
   core::Lmkg original(graph_, SupervisedConfig());
   original.BuildModels();
   std::stringstream buffer;
-  ASSERT_TRUE(original.SaveModels(buffer).ok());
+  ASSERT_TRUE(original.Save(buffer).ok());
 
   core::Lmkg restored(graph_, SupervisedConfig());
-  ASSERT_TRUE(restored.LoadModels(buffer).ok());
+  ASSERT_TRUE(restored.Load(buffer).ok());
   EXPECT_EQ(restored.num_models(), original.num_models());
   for (const auto& lq : TestQueries(20))
     EXPECT_DOUBLE_EQ(restored.EstimateCardinality(lq.query),
@@ -258,10 +258,10 @@ TEST_F(FrameworkPersistenceTest, UnsupervisedRoundTripPreservesEstimates) {
   core::Lmkg original(graph_, UnsupervisedConfig());
   original.BuildModels();
   std::stringstream buffer;
-  ASSERT_TRUE(original.SaveModels(buffer).ok());
+  ASSERT_TRUE(original.Save(buffer).ok());
 
   core::Lmkg restored(graph_, UnsupervisedConfig());
-  ASSERT_TRUE(restored.LoadModels(buffer).ok());
+  ASSERT_TRUE(restored.Load(buffer).ok());
   // LMKG-U estimates are Monte-Carlo (likelihood-weighted sampling), so
   // two calls on the *same* model already differ slightly; require the
   // restored density model to agree within a modest relative band.
@@ -279,7 +279,7 @@ TEST_F(FrameworkPersistenceTest, LoadRejectsBadMagic) {
   std::stringstream garbage;
   garbage << "definitely not a model file with enough bytes to fill the "
              "header structure";
-  util::Status status = lmkg.LoadModels(garbage);
+  util::Status status = lmkg.Load(garbage);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("magic"), std::string::npos);
 }
@@ -288,24 +288,24 @@ TEST_F(FrameworkPersistenceTest, LoadRejectsTruncatedStream) {
   core::Lmkg original(graph_, SupervisedConfig());
   original.BuildModels();
   std::stringstream buffer;
-  ASSERT_TRUE(original.SaveModels(buffer).ok());
+  ASSERT_TRUE(original.Save(buffer).ok());
   std::string bytes = buffer.str();
   // Cut the payload in half: the header parses, a model load must fail.
   std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
   core::Lmkg restored(graph_, SupervisedConfig());
-  EXPECT_FALSE(restored.LoadModels(truncated).ok());
+  EXPECT_FALSE(restored.Load(truncated).ok());
 }
 
 TEST_F(FrameworkPersistenceTest, LoadRejectsMismatchedGrouping) {
   core::Lmkg original(graph_, SupervisedConfig());
   original.BuildModels();
   std::stringstream buffer;
-  ASSERT_TRUE(original.SaveModels(buffer).ok());
+  ASSERT_TRUE(original.Save(buffer).ok());
 
   core::LmkgConfig other = SupervisedConfig();
   other.grouping = core::Grouping::kByType;
   core::Lmkg restored(graph_, other);
-  util::Status status = restored.LoadModels(buffer);
+  util::Status status = restored.Load(buffer);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("grouping"), std::string::npos);
 }
@@ -314,21 +314,21 @@ TEST_F(FrameworkPersistenceTest, LoadRejectsMismatchedKind) {
   core::Lmkg original(graph_, UnsupervisedConfig());
   original.BuildModels();
   std::stringstream buffer;
-  ASSERT_TRUE(original.SaveModels(buffer).ok());
+  ASSERT_TRUE(original.Save(buffer).ok());
   core::Lmkg restored(graph_, SupervisedConfig());
-  EXPECT_FALSE(restored.LoadModels(buffer).ok());
+  EXPECT_FALSE(restored.Load(buffer).ok());
 }
 
 TEST_F(FrameworkPersistenceTest, LoadRejectsMismatchedHiddenDim) {
   core::Lmkg original(graph_, SupervisedConfig());
   original.BuildModels();
   std::stringstream buffer;
-  ASSERT_TRUE(original.SaveModels(buffer).ok());
+  ASSERT_TRUE(original.Save(buffer).ok());
 
   core::LmkgConfig other = SupervisedConfig();
   other.s_config.hidden_dim = 64;  // different tensor shapes
   core::Lmkg restored(graph_, other);
-  EXPECT_FALSE(restored.LoadModels(buffer).ok());
+  EXPECT_FALSE(restored.Load(buffer).ok());
 }
 
 }  // namespace
