@@ -56,12 +56,13 @@ void BM_GraphHasTriple(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphHasTriple);
 
-void BM_ExecutorStar2(benchmark::State& state) {
+// Exact counts of a generated labeled workload, one query per iteration.
+void CountWorkload(benchmark::State& state, Topology topology, int size) {
   const rdf::Graph& graph = TestGraph();
   sampling::WorkloadGenerator generator(graph);
   sampling::WorkloadGenerator::Options options;
-  options.topology = Topology::kStar;
-  options.query_size = 2;
+  options.topology = topology;
+  options.query_size = size;
   options.count = 50;
   options.seed = 3;
   auto workload = generator.Generate(options);
@@ -73,7 +74,21 @@ void BM_ExecutorStar2(benchmark::State& state) {
     ++i;
   }
 }
+
+void BM_ExecutorStar2(benchmark::State& state) {
+  CountWorkload(state, Topology::kStar, 2);
+}
 BENCHMARK(BM_ExecutorStar2);
+
+void BM_ExecutorStar8(benchmark::State& state) {
+  CountWorkload(state, Topology::kStar, 8);
+}
+BENCHMARK(BM_ExecutorStar8);
+
+void BM_ExecutorChain8(benchmark::State& state) {
+  CountWorkload(state, Topology::kChain, 8);
+}
+BENCHMARK(BM_ExecutorChain8);
 
 void BM_EncodeStarBinary(benchmark::State& state) {
   const rdf::Graph& graph = TestGraph();

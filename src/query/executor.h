@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "query/query.h"
 #include "rdf/graph.h"
@@ -12,24 +11,50 @@ namespace lmkg::query {
 
 inline constexpr uint64_t kNoLimit = UINT64_MAX;
 
-/// Exact cardinality computation for basic graph patterns by backtracking
-/// join over the graph's indexes. This is the ground truth used both to
-/// label training data and to score every estimator (the paper's
+/// Exact cardinality computation for basic graph patterns by factorized
+/// counting over the graph's indexes. This is the ground truth used both
+/// to label training data and to score every estimator (the paper's
 /// `card(qp)`, §III).
 ///
-/// Algorithm: patterns are ordered greedily by estimated candidate count
-/// given the variables already bound (most selective first); candidates
-/// for each pattern come from the best available index (SPO / OPS / PSO);
-/// when only one pattern remains its matches are counted without
-/// enumerating bindings, which makes star queries with unbound objects
-/// cheap.
+/// Algorithm. The patterns are split into components connected through
+/// free (not yet bound) variables, and the count is the product of the
+/// components' counts. A component of one pattern is counted straight
+/// from an index range (SPO / OPS / PSO) without enumerating bindings. A
+/// larger component picks its most selective pattern given the bound
+/// variables, enumerates that pattern's matches, binds their variables,
+/// and sums the counts of the rest — which is split into components
+/// again under the new binding. A star's leaves therefore multiply as
+/// index-range sizes once the centre is bound, instead of being
+/// enumerated as a cross product; consecutive matches that bind the rest's
+/// variables to the same values reuse the previous sum term.
+///
+/// Memo. The count of a connected sub-join depends only on its pattern
+/// set and the values of its bound variables, so it is memoized under
+/// that key (queries of at most 64 patterns, at most 3 bound variables
+/// per sub-join). A chain's suffix is then counted once per join node
+/// instead of once per path. The memo is a flat open-addressing table of
+/// fixed capacity (8192 slots of 32 bytes, 256 KiB), allocated once per
+/// thread on first use, cleared in O(1) per Count by a generation stamp,
+/// and it stops inserting when three quarters full — so memory stays
+/// bounded whatever the query, and only speed degrades past that point.
+///
+/// Limits under products. `Count(q, limit)` returns the exact count when
+/// it is below `limit`, and some value >= limit otherwise. Every
+/// intermediate count is a lower bound of its true count, exact when
+/// below the limit it was asked for. A product's components run in
+/// order with limit ceil(limit / product so far) — 1 once the product
+/// has reached the limit, so every component is still checked for zero —
+/// and multiply with saturation; a sum's terms get the limit minus the
+/// sum so far. Only exact counts enter the memo.
 class Executor {
  public:
   explicit Executor(const rdf::Graph& graph);
 
   /// Number of distinct variable bindings matching the pattern. A fully
-  /// bound query yields 1 if all triples exist, else 0. Counting stops at
-  /// `limit` (the return value is then >= limit, not exact).
+  /// bound query yields 1 if all triples exist, else 0. With a `limit`,
+  /// the result is exact when the true count is below it, and >= limit
+  /// (a lower bound, not exact) when the true count is >= limit.
+  /// Thread-safe: concurrent calls share nothing but the graph.
   uint64_t Count(const Query& q, uint64_t limit = kNoLimit) const;
 
   /// Convenience: true cardinality of a query, as double (the unit every
@@ -49,26 +74,6 @@ class Executor {
   void SetTruthSink(TruthSink sink) { truth_sink_ = std::move(sink); }
 
  private:
-  struct State {
-    const Query* query = nullptr;
-    std::vector<rdf::TermId> binding;  // per variable; 0 = unbound
-    std::vector<bool> done;            // per pattern
-    uint64_t count = 0;
-    uint64_t limit = kNoLimit;
-  };
-
-  // Estimated number of index candidates for `t` under current bindings.
-  uint64_t EstimateCandidates(const TriplePattern& t,
-                              const State& state) const;
-  int PickNextPattern(const State& state) const;
-  void Recurse(State* state, size_t remaining) const;
-  // Enumerates matches of `t` under the binding; invokes visit(s,p,o).
-  template <typename Visit>
-  void ForEachMatch(const TriplePattern& t, const State& state,
-                    Visit visit) const;
-  // Counts matches of `t` under the binding without recursing.
-  uint64_t CountMatches(const TriplePattern& t, const State& state) const;
-
   const rdf::Graph& graph_;
   TruthSink truth_sink_;  // empty = no feedback
 };

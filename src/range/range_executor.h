@@ -12,8 +12,10 @@
 namespace lmkg::range {
 
 /// Exact cardinality computation for range queries — the ground truth that
-/// labels range training data and scores the range estimators, extending
-/// query::Executor's backtracking join with per-variable id bounds.
+/// labels range training data and scores the range estimators: a flat
+/// backtracking join over the same indexes as query::Executor, with
+/// per-variable id bounds (it does not share the executor's factorized
+/// counting).
 ///
 /// Variables pick up bounds from the intersected ObjectRange constraints
 /// (ComputeVarBounds); a value outside its variable's bounds is rejected

@@ -299,5 +299,59 @@ TEST_F(WorkloadTest, BucketBalancedSpreadsResultSizes) {
   EXPECT_GE(buckets.size(), 2u);
 }
 
+// FNV-1a over every generated query's text and its label.
+uint64_t WorkloadDigest(const std::vector<LabeledQuery>& queries) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const std::string& bytes) {
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& lq : queries) {
+    mix(query::QueryToString(lq.query));
+    mix(" " + std::to_string(static_cast<uint64_t>(lq.cardinality)) + "\n");
+  }
+  return h;
+}
+
+// Pins Generate's output — which queries are accepted, in which order,
+// with which labels — for fixed seeds. Every accept/reject decision
+// hangs on an exact (or limit-capped) count, so a counting change that
+// alters one label or one decision changes a digest.
+TEST(WorkloadLabelPinTest, GenerateOutputIsBitIdentical) {
+  rdf::Graph graph = lmkg::testing::MakeRandomGraph(60, 4, 180, 21);
+  WorkloadGenerator generator(graph);
+  struct Case {
+    Topology topology;
+    int size;
+    uint64_t seed;
+    bool unbound_predicates;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {Topology::kStar, 2, 1, false, 0x18bf164be4380ff4ull},
+      {Topology::kStar, 8, 2, false, 0x949288ba53394745ull},
+      {Topology::kChain, 3, 3, false, 0x4af2a535c0255defull},
+      {Topology::kChain, 8, 4, false, 0xc9dc4e4d6e204dacull},
+      {Topology::kStar, 3, 5, true, 0x268d074fc012dd75ull},
+      {Topology::kChain, 5, 6, true, 0x0667659d75bbecc1ull},
+  };
+  for (const Case& c : cases) {
+    WorkloadGenerator::Options options;
+    options.topology = c.topology;
+    options.query_size = c.size;
+    options.count = 40;
+    options.seed = c.seed;
+    options.allow_unbound_predicates = c.unbound_predicates;
+    auto queries = generator.Generate(options);
+    EXPECT_FALSE(queries.empty());
+    EXPECT_EQ(WorkloadDigest(queries), c.digest)
+        << query::TopologyName(c.topology) << "-" << c.size << " seed "
+        << c.seed << ": " << queries.size() << " queries, digest 0x"
+        << std::hex << WorkloadDigest(queries);
+  }
+}
+
 }  // namespace
 }  // namespace lmkg::sampling
