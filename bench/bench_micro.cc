@@ -3,6 +3,7 @@
 // backward, ResMADE conditionals and the samplers.
 #include <benchmark/benchmark.h>
 
+#include "core/lmkg_s.h"
 #include "core/lmkg_u.h"
 #include "core/workload_monitor.h"
 #include "data/dataset.h"
@@ -30,6 +31,26 @@ const rdf::Graph& TestGraph() {
   static const rdf::Graph* graph =
       new rdf::Graph(data::MakeDataset("swdf", 0.01, 42));
   return *graph;
+}
+
+// The set-up stages of bench/e2e run on SWDF 0.1; their micro benches
+// use the same graph so the shapes (encoding width, pool sizes) match.
+const rdf::Graph& SetupGraph() {
+  static const rdf::Graph* graph =
+      new rdf::Graph(data::MakeDataset("swdf", 0.1, 1));
+  return *graph;
+}
+
+sampling::WorkloadGenerator::Options SetupPoolOptions(Topology topology,
+                                                      int size,
+                                                      uint64_t seed) {
+  sampling::WorkloadGenerator::Options options;
+  options.topology = topology;
+  options.query_size = size;
+  options.count = 100;
+  options.max_cardinality = 1953125;  // 5^9, as bench/e2e
+  options.seed = seed;
+  return options;
 }
 
 void BM_GraphOutEdgeLookup(benchmark::State& state) {
@@ -155,6 +176,46 @@ void BM_DenseTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseTrainStep);
+
+// One LMKG-S training epoch at the bench/e2e serve shape: 100 labeled
+// queries per star/chain combo of sizes 2/3/5/8 on SWDF 0.1, SG binary
+// encoding (width ~850, ~3% nonzero), two hidden layers of 128, batch
+// 64, dropout 0.1 — 13 forward/backward/clip/Adam batches per iteration.
+void BM_LmkgSTrainEpoch(benchmark::State& state) {
+  const rdf::Graph& graph = SetupGraph();
+  sampling::WorkloadGenerator generator(graph);
+  std::vector<sampling::LabeledQuery> train;
+  uint64_t seed = 1;
+  for (Topology topology : {Topology::kStar, Topology::kChain})
+    for (int size : {2, 3, 5, 8})
+      for (auto& lq :
+           generator.Generate(SetupPoolOptions(topology, size, seed++)))
+        train.push_back(std::move(lq));
+  core::LmkgSConfig config;
+  config.hidden_dim = 128;
+  config.dropout = 0.1;
+  config.batch_size = 64;
+  config.epochs = 1;
+  core::LmkgS model(
+      encoding::MakeSgEncoder(graph, 9, 8, encoding::TermEncoding::kBinary),
+      config);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(model.Train(train).epoch_losses.back());
+  state.counters["queries"] = static_cast<double>(train.size());
+}
+BENCHMARK(BM_LmkgSTrainEpoch)->Unit(benchmark::kMillisecond);
+
+// One labeled star-2 pool at the bench/e2e shape (100 queries on SWDF
+// 0.1): seed sampling, unbinding, dedupe and exact counting of every
+// candidate the bucket quotas look at.
+void BM_WorkloadGenerateStar2(benchmark::State& state) {
+  const rdf::Graph& graph = SetupGraph();
+  sampling::WorkloadGenerator generator(graph);
+  const auto options = SetupPoolOptions(Topology::kStar, 2, 1);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(generator.Generate(options).size());
+}
+BENCHMARK(BM_WorkloadGenerateStar2)->Unit(benchmark::kMillisecond);
 
 void BM_ResMadeConditional(benchmark::State& state) {
   nn::ResMadeConfig config;

@@ -116,14 +116,13 @@ const nn::Matrix& MscnEstimator::ForwardBatch(
 }
 
 void MscnEstimator::BackwardBatch(const nn::Matrix& dpred) {
-  out_net_.Backward(dpred);
-  const nn::Matrix& dpool = out_net_.input_grad();
+  out_net_.Backward(dpred, &dpooled_);
   // Distribute the pooled gradient back to the elements.
   delements_.Resize(elements_.rows(), config_.hidden_dim);
   for (size_t qi = 0; qi + 1 < query_offsets_.size(); ++qi) {
     size_t begin = query_offsets_[qi], end = query_offsets_[qi + 1];
     float inv = 1.0f / static_cast<float>(std::max<size_t>(end - begin, 1));
-    const float* src = dpool.row(qi);
+    const float* src = dpooled_.row(qi);
     for (size_t r = begin; r < end; ++r) {
       float* dst = delements_.row(r);
       for (size_t j = 0; j < config_.hidden_dim; ++j)

@@ -84,6 +84,7 @@ void Relu::Forward(const Matrix& in, Matrix* out, bool) {
 
 void Relu::Backward(const Matrix& in, const Matrix&, const Matrix& dout,
                     Matrix* din) {
+  if (din == nullptr) return;
   din->Resize(in.rows(), in.cols());
   const float* x = in.data();
   const float* d = dout.data();
@@ -103,6 +104,7 @@ void Sigmoid::Forward(const Matrix& in, Matrix* out, bool) {
 
 void Sigmoid::Backward(const Matrix&, const Matrix& out,
                        const Matrix& dout, Matrix* din) {
+  if (din == nullptr) return;
   din->Resize(out.rows(), out.cols());
   const float* y = out.data();
   const float* d = dout.data();
@@ -119,7 +121,8 @@ Dropout::Dropout(double rate, uint64_t seed)
 
 void Dropout::Forward(const Matrix& in, Matrix* out, bool training) {
   out->Resize(in.rows(), in.cols());
-  if (!training || rate_ == 0.0) {
+  mask_valid_ = training && rate_ > 0.0;
+  if (!mask_valid_) {
     std::copy(in.data(), in.data() + in.size(), out->data());
     return;
   }
@@ -137,9 +140,9 @@ void Dropout::Forward(const Matrix& in, Matrix* out, bool training) {
 
 void Dropout::Backward(const Matrix& in, const Matrix&, const Matrix& dout,
                        Matrix* din) {
+  if (din == nullptr) return;
   din->Resize(in.rows(), in.cols());
-  if (mask_.empty() || mask_.rows() != in.rows()) {
-    // Forward ran in inference mode.
+  if (!mask_valid_) {  // Forward ran in inference mode
     std::copy(dout.data(), dout.data() + dout.size(), din->data());
     return;
   }
@@ -182,13 +185,13 @@ const Matrix& Sequential::ForwardSparseInput(const SparseRows& in) {
   return activations_.back();
 }
 
-void Sequential::Backward(const Matrix& dout) {
+void Sequential::Backward(const Matrix& dout, Matrix* input_grad) {
   LMKG_CHECK(!layers_.empty());
   LMKG_CHECK(input_ != nullptr) << "Backward before Forward";
   const Matrix* current_grad = &dout;
   for (size_t i = layers_.size(); i-- > 0;) {
     const Matrix& in = i == 0 ? *input_ : activations_[i - 1];
-    Matrix* din = i == 0 ? &input_grad_ : &grad_buffers_[i - 1];
+    Matrix* din = i == 0 ? input_grad : &grad_buffers_[i - 1];
     layers_[i]->Backward(in, activations_[i], *current_grad, din);
     current_grad = din;
   }

@@ -26,8 +26,10 @@ class Layer {
   /// out = f(in). `training` enables dropout noise etc.
   virtual void Forward(const Matrix& in, Matrix* out, bool training) = 0;
 
-  /// Given dL/dout, accumulates parameter gradients and writes dL/din.
-  /// `in`/`out` are the tensors of the immediately preceding Forward.
+  /// Given dL/dout, accumulates parameter gradients and writes dL/din;
+  /// `din == nullptr` skips the input gradient (the first layer of a
+  /// stack whose caller does not need it). `in`/`out` are the tensors of
+  /// the immediately preceding Forward.
   virtual void Backward(const Matrix& in, const Matrix& out,
                         const Matrix& dout, Matrix* din) = 0;
 
@@ -118,7 +120,9 @@ class Sigmoid : public Layer {
 };
 
 /// Inverted dropout: at train time zeroes units with probability `rate`
-/// and rescales by 1/(1-rate); identity at inference.
+/// and rescales by 1/(1-rate); identity at inference. Backward follows
+/// the most recent Forward: masked after a training one, identity after
+/// an inference one.
 class Dropout : public Layer {
  public:
   Dropout(double rate, uint64_t seed);
@@ -132,6 +136,7 @@ class Dropout : public Layer {
   double rate_;
   util::Pcg32 rng_;
   Matrix mask_;
+  bool mask_valid_ = false;  // the last Forward drew mask_
 };
 
 /// A feed-forward stack of layers with cached activations, enough for the
@@ -159,10 +164,11 @@ class Sequential {
   /// dense Forward.
   const Matrix& ForwardSparseInput(const SparseRows& in);
   /// Backpropagates dL/d(last output); requires a preceding Forward.
-  /// Also computes dL/d(input), available from input_grad() — needed when
-  /// stacks are chained through non-layer glue (e.g. MSCN's set pooling).
-  void Backward(const Matrix& dout);
-  const Matrix& input_grad() const { return input_grad_; }
+  /// dL/d(input) is computed only when `input_grad` is given — needed
+  /// when stacks are chained through non-layer glue (e.g. MSCN's set
+  /// pooling); for a first Dense layer it is the largest product of the
+  /// pass, so callers that do not read it skip it.
+  void Backward(const Matrix& dout, Matrix* input_grad = nullptr);
 
   std::vector<ParamRef> Params();
   void ZeroGrad();
@@ -175,7 +181,6 @@ class Sequential {
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Matrix> activations_;  // activations_[i] = output of layer i
   const Matrix* input_ = nullptr;    // last forward input (caller-owned)
-  Matrix input_grad_;
   std::vector<Matrix> grad_buffers_;
 };
 

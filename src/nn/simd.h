@@ -2,6 +2,7 @@
 #define LMKG_NN_SIMD_H_
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -65,6 +66,11 @@ static inline Vec Sub(Vec a, Vec b) { return _mm512_sub_ps(a, b); }
 static inline Vec Mul(Vec a, Vec b) { return _mm512_mul_ps(a, b); }
 static inline Vec Min(Vec a, Vec b) { return _mm512_min_ps(a, b); }
 static inline Vec Max(Vec a, Vec b) { return _mm512_max_ps(a, b); }
+static inline Vec Div(Vec a, Vec b) { return _mm512_div_ps(a, b); }
+/// Correctly rounded per-lane square root. The all-lanes zero-mask form:
+/// plain _mm512_sqrt_ps trips GCC 12's -Wmaybe-uninitialized (see the
+/// ReduceAdd note below), this one does not.
+static inline Vec Sqrt(Vec v) { return _mm512_maskz_sqrt_ps(0xFFFF, v); }
 /// a * b + c, fused.
 static inline Vec MulAdd(Vec a, Vec b, Vec c) { return _mm512_fmadd_ps(a, b, c); }
 /// Per-lane round to nearest integer (ties to even).
@@ -118,6 +124,8 @@ static inline Vec Sub(Vec a, Vec b) { return _mm256_sub_ps(a, b); }
 static inline Vec Mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
 static inline Vec Min(Vec a, Vec b) { return _mm256_min_ps(a, b); }
 static inline Vec Max(Vec a, Vec b) { return _mm256_max_ps(a, b); }
+static inline Vec Div(Vec a, Vec b) { return _mm256_div_ps(a, b); }
+static inline Vec Sqrt(Vec v) { return _mm256_sqrt_ps(v); }
 /// a * b + c, fused.
 static inline Vec MulAdd(Vec a, Vec b, Vec c) { return _mm256_fmadd_ps(a, b, c); }
 /// Per-lane round to nearest integer (ties to even).
@@ -168,6 +176,26 @@ static inline Vec Sub(Vec a, Vec b) { return vsubq_f32(a, b); }
 static inline Vec Mul(Vec a, Vec b) { return vmulq_f32(a, b); }
 static inline Vec Min(Vec a, Vec b) { return vminq_f32(a, b); }
 static inline Vec Max(Vec a, Vec b) { return vmaxq_f32(a, b); }
+/// Correctly rounded per-lane divide and square root (ARMv7 NEON has
+/// only reciprocal estimates, so it goes lane by lane there).
+#if defined(__aarch64__)
+static inline Vec Div(Vec a, Vec b) { return vdivq_f32(a, b); }
+static inline Vec Sqrt(Vec v) { return vsqrtq_f32(v); }
+#else
+static inline Vec Div(Vec a, Vec b) {
+  float x[4], y[4];
+  vst1q_f32(x, a);
+  vst1q_f32(y, b);
+  for (int i = 0; i < 4; ++i) x[i] /= y[i];
+  return vld1q_f32(x);
+}
+static inline Vec Sqrt(Vec v) {
+  float x[4];
+  vst1q_f32(x, v);
+  for (int i = 0; i < 4; ++i) x[i] = std::sqrt(x[i]);
+  return vld1q_f32(x);
+}
+#endif
 /// Per-lane round to nearest integer (ties to even on AArch64; the ARMv7
 /// fallback uses the classic magic-number add, valid for |v| < 2^23 —
 /// the exp range reduction below stays within +-128).
@@ -229,6 +257,8 @@ static inline Vec Sub(Vec a, Vec b) { return a - b; }
 static inline Vec Mul(Vec a, Vec b) { return a * b; }
 static inline Vec Min(Vec a, Vec b) { return a < b ? a : b; }
 static inline Vec Max(Vec a, Vec b) { return a > b ? a : b; }
+static inline Vec Div(Vec a, Vec b) { return a / b; }
+static inline Vec Sqrt(Vec v) { return std::sqrt(v); }
 static inline Vec MulAdd(Vec a, Vec b, Vec c) { return a * b + c; }
 static inline Vec RoundNearest(Vec v) {
   // Magic-number round-to-nearest (ties to even), valid for |v| < 2^23 —

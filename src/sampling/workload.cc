@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
+#include <unordered_set>
 
 #include "util/check.h"
 #include "util/math.h"
@@ -19,6 +19,27 @@ WorkloadGenerator::WorkloadGenerator(const rdf::Graph& graph)
 namespace {
 
 int CountUnbound(const Query& q) { return q.num_vars; }
+
+// Exact-match hash of a query's pattern terms, for the generator's
+// dedupe. Generated queries carry no var_names, so two of them print the
+// same QueryToString exactly when their patterns are equal.
+struct PatternsHash {
+  size_t operator()(const std::vector<query::TriplePattern>& ps) const {
+    uint64_t h = 0xcbf29ce484222325ull ^ ps.size();
+    auto mix = [&h](const PatternTerm& t) {
+      h ^= (static_cast<uint64_t>(t.value) << 32) ^
+           static_cast<uint32_t>(t.var);
+      h *= 0x100000001b3ull;
+      h ^= h >> 29;
+    };
+    for (const auto& t : ps) {
+      mix(t.s);
+      mix(t.p);
+      mix(t.o);
+    }
+    return static_cast<size_t>(h);
+  }
+};
 
 }  // namespace
 
@@ -100,7 +121,9 @@ std::vector<LabeledQuery> WorkloadGenerator::Generate(
           : options.count;
 
   std::vector<LabeledQuery> out;
-  std::set<std::string> seen;
+  // Patterns of the accepted queries; a candidate equal to one is
+  // dropped before it is counted.
+  std::unordered_set<std::vector<query::TriplePattern>, PatternsHash> seen;
   query::ChainScratch chain_scratch;  // reused across candidate queries
   size_t attempts = 0;
   const size_t max_attempts =
@@ -147,8 +170,7 @@ std::vector<LabeledQuery> WorkloadGenerator::Generate(
         if (!query::AsChain(q, &chain_scratch, &chain)) continue;
       }
 
-      std::string key = query::QueryToString(q);
-      if (seen.count(key) > 0) continue;
+      if (seen.contains(q.patterns)) continue;
 
       uint64_t card = executor_.Count(q, options.max_cardinality + 1);
       if (card == 0 || card > options.max_cardinality) continue;
@@ -157,7 +179,7 @@ std::vector<LabeledQuery> WorkloadGenerator::Generate(
                             options.max_bucket);
       if (balanced && bucket_counts[bucket] >= per_bucket) continue;
 
-      seen.insert(std::move(key));
+      seen.insert(q.patterns);
       ++bucket_counts[bucket];
       LabeledQuery labeled;
       labeled.query = std::move(q);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "nn/adam.h"
 #include "nn/gradcheck.h"
@@ -351,6 +354,26 @@ TEST(LayerTest, DropoutTrainVsEval) {
   EXPECT_NEAR(sum / 1000.0, 1.0, 0.1);
 }
 
+// Backward follows the most recent Forward: after a training Forward
+// and then an inference Forward of the same shape, the gradient passes
+// through unmasked (the mask belongs to the earlier, training pass).
+TEST(LayerTest, DropoutBackwardAfterInferenceForwardIsIdentity) {
+  Dropout dropout(0.5, 42);
+  Matrix in(4, 50), out, dout(4, 50), din;
+  in.Fill(1.0f);
+  dout.Fill(1.0f);
+  dropout.Forward(in, &out, /*training=*/true);
+  dropout.Backward(in, out, dout, &din);
+  int masked = 0;
+  for (size_t i = 0; i < din.size(); ++i)
+    if (din.data()[i] == 0.0f) ++masked;
+  EXPECT_GT(masked, 0);  // the training pass does mask
+  dropout.Forward(in, &out, /*training=*/false);
+  dropout.Backward(in, out, dout, &din);
+  for (size_t i = 0; i < din.size(); ++i)
+    ASSERT_EQ(din.data()[i], 1.0f) << "element " << i;
+}
+
 TEST(LayerTest, MaskedDenseRespectsMaskThroughTraining) {
   util::Pcg32 rng(4);
   MaskedDense layer(2, 2, rng);
@@ -592,11 +615,53 @@ TEST(SequentialTest, InputGradientIsExposed) {
   Matrix dout(1, 1);
   dout.at(0, 0) = 1.0f;
   net.ZeroGrad();
-  net.Backward(dout);
-  // d out / d x = W.
+  Matrix dx;
+  net.Backward(dout, &dx);
+  // d out / d x = W, written into the caller's buffer.
   auto params = net.Params();
-  EXPECT_FLOAT_EQ(net.input_grad().at(0, 0), params[0].value->at(0, 0));
-  EXPECT_FLOAT_EQ(net.input_grad().at(0, 1), params[0].value->at(1, 0));
+  ASSERT_EQ(dx.rows(), 1u);
+  ASSERT_EQ(dx.cols(), 2u);
+  EXPECT_FLOAT_EQ(dx.at(0, 0), params[0].value->at(0, 0));
+  EXPECT_FLOAT_EQ(dx.at(0, 1), params[0].value->at(1, 0));
+}
+
+// Skipping the input gradient must not change a single parameter
+// gradient bit — LMKG-S training relies on it to stay bit-identical.
+TEST(SequentialTest, ParamGradientsIgnoreInputGradBuffer) {
+  auto make = [] {
+    util::Pcg32 rng(12);
+    auto net = std::make_unique<Sequential>();
+    net->Add(std::make_unique<Dense>(37, 16, rng));
+    net->Add(std::make_unique<Relu>());
+    net->Add(std::make_unique<Dropout>(0.25, 3));
+    net->Add(std::make_unique<Dense>(16, 1, rng));
+    net->Add(std::make_unique<Sigmoid>());
+    return net;
+  };
+  auto with = make(), without = make();
+  util::Pcg32 rng(13);
+  Matrix x(9, 37), dpred, dx;
+  FillGaussian(&x, 1.0f, rng);
+  std::vector<float> y(9, 0.3f);
+  for (int step = 0; step < 3; ++step) {
+    MseLoss(with->Forward(x, true), y, &dpred);
+    with->ZeroGrad();
+    with->Backward(dpred, &dx);
+    MseLoss(without->Forward(x, true), y, &dpred);
+    without->ZeroGrad();
+    without->Backward(dpred);
+    EXPECT_EQ(dx.rows(), 9u);
+    EXPECT_EQ(dx.cols(), 37u);
+    auto a = with->Params(), b = without->Params();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].grad->size(), b[i].grad->size());
+      EXPECT_EQ(std::memcmp(a[i].grad->data(), b[i].grad->data(),
+                            a[i].grad->size() * sizeof(float)),
+                0)
+          << "param " << i << " step " << step;
+    }
+  }
 }
 
 TEST(SequentialTest, ParamAccounting) {
@@ -648,6 +713,76 @@ TEST(AdamTest, ClipGradientNorm) {
   norm = ClipGradientNorm(params, 10.0);
   EXPECT_NEAR(norm, 1.0, 1e-6);
   EXPECT_NEAR(g.at(0, 0), 0.6f, 1e-6);
+}
+
+// Adam runs on the library's SIMD lanes with the tail zero-padded into
+// one more vector block. Elements with identical histories must end
+// bit-equal wherever they sit. 16 is the widest lane count the library
+// may resolve (this TU's own simd::kLanes can differ, see nn/simd.h), so
+// n covers three full blocks plus a tail on every ISA.
+TEST(AdamTest, VectorAndTailElementsUpdateBitIdentically) {
+  constexpr size_t kMaxLanes = 16;
+  const size_t n = 3 * kMaxLanes + 5;
+  // Weights that stay near zero (alternating gradient signs, lr 1), so a
+  // one-ulp difference in a moment shows in the weight's bits.
+  Matrix w(1, n), g(1, n);
+  Adam adam({{&w, &g}}, 1.0f);
+  util::Pcg32 rng(14);
+  for (int step = 0; step < 50; ++step) {
+    // Zero, negative and positive gradients, the same for every element.
+    const float magnitude =
+        static_cast<float>(std::pow(10.0, rng.Uniform(-3.0, 2.0)));
+    g.Fill(step % 7 == 3 ? 0.0f : (step % 2 == 0 ? magnitude : -magnitude));
+    adam.Step();
+    for (size_t j = 1; j < n; ++j)
+      ASSERT_EQ(std::bit_cast<uint32_t>(w.at(0, j)),
+                std::bit_cast<uint32_t>(w.at(0, 0)))
+          << "element " << j << " step " << step;
+  }
+  EXPECT_NE(w.at(0, 0), 0.0f);
+}
+
+// ClipGradientNorm skips all-zero blocks; the norm must equal, bit for
+// bit, the norm of the nonzero values alone, summed in the same order.
+TEST(AdamTest, ClipGradientNormSkipsZeroBlocksExactly) {
+  util::Pcg32 rng(15);
+  const size_t n = 16 * 64 + 7;
+  Matrix w(1, n), g(1, n);
+  std::vector<float> nonzero;
+  for (size_t j = 0; j < n; ++j) {
+    // 16-float blocks, by block index mod 4: all zeros (half of them -0),
+    // dense, zeros but the last element, and zeros in the first half.
+    const size_t block = j / 16, k = j % 16;
+    bool zero = false;
+    switch (block % 4) {
+      case 1: zero = true; break;
+      case 2: zero = k != 15; break;
+      case 3: zero = k < 8; break;
+      default: break;
+    }
+    const float value =
+        zero ? (k % 2 == 0 ? -0.0f : 0.0f)
+             : static_cast<float>(rng.Uniform(-1.0, 1.0) *
+                                  std::pow(10.0, rng.Uniform(-6.0, 4.0)));
+    g.at(0, j) = value;
+    if (value != 0.0f) nonzero.push_back(value);
+  }
+  Matrix wc(1, nonzero.size()), gc(1, nonzero.size());
+  std::copy(nonzero.begin(), nonzero.end(), gc.data());
+  std::vector<ParamRef> sparse = {{&w, &g}}, compact = {{&wc, &gc}};
+  const double compact_norm = ClipGradientNorm(compact, 1e30);
+  const double norm = ClipGradientNorm(sparse, 1e30);
+  EXPECT_EQ(std::bit_cast<uint64_t>(norm),
+            std::bit_cast<uint64_t>(compact_norm));
+  // Scaling keeps zeros zero and shrinks the rest.
+  const Matrix before = g;
+  ClipGradientNorm(sparse, norm / 8.0);
+  for (size_t j = 0; j < n; ++j) {
+    if (before.at(0, j) == 0.0f)
+      EXPECT_EQ(g.at(0, j), 0.0f) << j;
+    else
+      EXPECT_LT(std::fabs(g.at(0, j)), std::fabs(before.at(0, j))) << j;
+  }
 }
 
 }  // namespace

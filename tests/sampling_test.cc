@@ -353,5 +353,30 @@ TEST(WorkloadLabelPinTest, GenerateOutputIsBitIdentical) {
   }
 }
 
+// A pool where duplicates dominate: with every object unbound, star-2
+// offers only the 16 ordered predicate pairs of the 4-predicate graph,
+// far fewer than `count`, so nearly every candidate repeats an accepted
+// query. Pins that the dedupe drops exactly the queries whose text
+// repeats (digest recorded before the dedupe stopped keying on
+// QueryToString).
+TEST(WorkloadLabelPinTest, DuplicateDominatedPoolIsBitIdentical) {
+  rdf::Graph graph = lmkg::testing::MakeRandomGraph(60, 4, 180, 21);
+  WorkloadGenerator generator(graph);
+  WorkloadGenerator::Options options;
+  options.topology = Topology::kStar;
+  options.query_size = 2;
+  options.count = 40;
+  options.seed = 7;
+  options.unbind_object_prob = 1.0;
+  auto queries = generator.Generate(options);
+  EXPECT_EQ(queries.size(), 16u);
+  EXPECT_EQ(WorkloadDigest(queries), 0xfdba6bca4b8e5ef9ull)
+      << std::hex << WorkloadDigest(queries);
+  std::set<std::string> texts;
+  for (const auto& lq : queries)
+    EXPECT_TRUE(texts.insert(query::QueryToString(lq.query)).second)
+        << query::QueryToString(lq.query);
+}
+
 }  // namespace
 }  // namespace lmkg::sampling
