@@ -15,10 +15,10 @@
 //               reports subplans priced/sec, the raw pricing bandwidth
 //   warm        production config, memo populated: the steady state of
 //               an optimizer replanning a stable workload
-// CI gates plans_per_sec (warm) against
-// bench/baselines/planner_baseline_{N}core.json and enforces the hard
-// floor batched_vs_naive_speedup >= 5 via
-// scripts/check_bench_regression.py.
+// The planner rows of the GATES table in
+// scripts/check_bench_regression.py gate plans_per_sec (warm) against
+// bench/baselines/planner_baseline_{N}core.json and hold
+// batched_vs_naive_speedup >= 5 on every machine.
 //
 // Plan-quality track: for a sample of the workload, plans chosen with
 // LMKG-S, independence, and CSET(+independence fallback) estimates are

@@ -3,8 +3,9 @@
 // EstimateCardinalityBatch at batch sizes {1, 8, 64, 512}, against the
 // per-query EstimateCardinality path — the deployment shape of a query
 // optimizer pricing many candidate plans per query. Emits the measured
-// throughputs as BENCH_batch_inference.json so successive commits can
-// track the serving baseline.
+// throughputs as BENCH_batch_inference.json; its top-level batch64_qps
+// is gated against bench/baselines/batch_inference_baseline.json by
+// scripts/check_bench_regression.py.
 //
 // Beyond raw queries/sec, an instrumented sweep splits each batch size
 // into per-stage timings (encode vs forward, LmkgS::StageStats) and
@@ -229,6 +230,7 @@ int main(int argc, char** argv) {
     return 0.0;
   };
   json << "  ],\n"
+       << "  \"batch64_qps\": " << qps_at(64) << ",\n"
        << "  \"speedup_batch64_vs_batch1\": "
        << qps_at(64) / qps_at(1) << "\n"
        << "}\n";

@@ -1,99 +1,51 @@
 #!/usr/bin/env python3
-"""CI perf-regression gate for the serving-path benchmarks.
+"""CI perf-regression gate for the benchmark result JSONs.
 
-Four benchmark kinds are gated, auto-detected from the "bench" field of
-the result JSON:
+GATES maps a result's "bench" kind to its gated rows,
+(metric, unit, rule, floor). A metric is a top-level or dotted JSON key.
+Every row passes when ratio = current / reference >= floor:
 
-  * batch_inference (bench_throughput_batch): batch-64 queries/sec
-    against bench/baselines/batch_inference_baseline.json
-  * serving (bench_serving): closed-loop 16-client qps (cached and
-    uncached gated metrics) against the MACHINE-CLASS baseline
-    bench/baselines/serving_baseline_{N}core.json, where N is the
-    "hardware_threads" the result JSON reports. Absolute qps is only
-    comparable within a machine class, so a 1-core container and a
-    4-vCPU CI runner each gate against their own committed file; a
-    missing file for the detected class is a hard failure with
-    bootstrap instructions, not a silent skip. Serving results that
-    carry a "feedback_loop" object additionally enforce a
-    MACHINE-RELATIVE floor on feedback_loop.qerror_convergence_ratio
-    (the feedback-off run's final median q-error over the feedback-on
-    run's, both measured within the same process): it must stay
-    >= --min-qerror-convergence (default 1.2), or the executor-feedback
-    training loop stopped converging. Like the planner floor, it is
-    enforced even when the absolute gate is skipped.
-  * planner (bench_planner): warm plans/sec against the machine-class
-    baseline bench/baselines/planner_baseline_{N}core.json, plus a
-    MACHINE-RELATIVE hard floor: batched_vs_naive_speedup (memoized
-    batched pricing vs one blocking Estimate per sub-plan, measured
-    within the same run) must stay >= --min-planner-speedup (default
-    5). The relative floor is enforced even when the absolute gate is
-    skipped for an ISA mismatch or a bootstrap baseline — both numbers
-    come from the same process, so hardware drift cancels out.
-  * store (bench_store): mapped cold starts/sec at the largest
-    registry against the machine-class baseline
-    bench/baselines/store_baseline_{N}core.json, plus a
-    MACHINE-RELATIVE hard floor: mmap_vs_streamed_speedup (mmapped
-    attach + one-combo hydration vs a linear streamed Load of the same
-    registry, first estimates verified bit-identical within the same
-    run) must stay >= --min-store-speedup (default 5). Like the
-    planner floor, it is enforced even when the absolute gate is
-    skipped — it guards the point of the store format: cold start must
-    not scale with registry size.
+  absolute  reference = the committed baseline's value, floor = 0.80
+            (a -20% margin for shared-runner noise). The baseline is
+            bench/baselines/{bench}_baseline[_{N}core].json, where N is
+            the result's "hardware_threads" when it carries one: absolute
+            throughput only compares within one machine class. A missing
+            baseline file fails. A baseline whose "simd_isa" differs from
+            the result's, or one marked "bootstrap": true (a machine class
+            with no measured numbers yet), skips the absolute rows with a
+            warning.
+  at_least  reference = 1: the metric is itself a ratio of two numbers
+            measured in one process, so hardware drift cancels out and
+            the row runs on every machine, even when absolute rows skip.
+  scaling   only in --scaling MULTI SINGLE mode, which compares two runs
+            of one bench from the same job; SINGLE must be a 1-shard run
+            and is the reference. Absolute and at_least rows do not run.
 
-Either gate FAILS (exit 1) if a gated metric drops more than
---threshold (default 20%) below its committed baseline. The gates run on
-the gcc Release CI leg; the 20% margin absorbs shared-runner noise while
-still catching real regressions like a de-vectorized kernel, a
-reintroduced per-query allocation, or a serving-layer lock added to the
-hot path.
+A result missing a gated metric fails. Exit codes: 0 every row passed,
+1 a row failed, 2 unusable input (an unreadable or malformed JSON, or a
+bench kind GATES does not know).
 
-Scaling mode (machine-relative, no committed absolutes involved)
-----------------------------------------------------------------
-  check_bench_regression.py --scaling BENCH_4shard.json BENCH_1shard.json
-
-compares the UNCACHED gated metric (closed_loop_16_uncached_qps — the
-one where every request crosses a shard's ring into a batch compute)
-between two runs from the SAME job and fails if multi-shard qps is
-below --min-scaling x single-shard qps (default 2.5, sized for a 4-vCPU
-runner). Because both numbers come from the same machine minutes apart,
-this gate is immune to runner-class drift and enforces that
-shard-per-core serving actually scales.
+  check_bench_regression.py BENCH_planner.json
+  check_bench_regression.py --scaling BENCH_serving_4shard.json \\
+      BENCH_serving_1shard.json
 
 Refreshing a baseline
 ---------------------
-The committed baselines should track the class of machine CI runs on.
-After a deliberate perf change (or a runner upgrade) lands on main, the
-fast path is artifact promotion:
+The committed baselines track the class of machine CI runs on. After a
+deliberate perf change (or a runner upgrade) lands on main, download the
+"bench-results" artifact of a green main run (Actions -> CI ->
+gcc-Release -> artifacts), promote it and commit:
 
-  1. Download and unzip the "bench-results" artifact from a green main
-     run (Actions -> CI -> gcc-Release -> artifacts).
-  2. Promote every result it holds in one step and commit:
-       python3 scripts/check_bench_regression.py \
-           --from-artifact path/to/bench-results/
-       git add bench/baselines/
+  python3 scripts/check_bench_regression.py --promote path/to/bench-results/
+  git add bench/baselines/
 
---from-artifact scans the directory for benchmark JSONs, routes each to
-its kind's (and machine class's) baseline path, and copies it over.
-When the artifact carries several serving runs of the same machine
-class (CI uploads both the 4-shard and the 1-shard control), the run
-with the MOST shards wins — that is the configuration the absolute gate
-measures; the 1-shard run only exists for the scaling gate.
-
-Single files work too (e.g. from a local run):
-       ./build/bench/bench_serving --smoke --out=BENCH_serving.json
-       python3 scripts/check_bench_regression.py \
-           --update-baseline BENCH_serving.json
-       git add bench/baselines/
-The baseline path is picked from the JSON's "bench" field — and, for
-serving/planner, its "hardware_threads".
-
-A serving baseline carrying "bootstrap": true marks a machine class
-whose absolute numbers have not been measured yet: the absolute gate
-warns and passes on such a file (the scaling gate still runs in CI).
-Replace it with real numbers from a green run as soon as one exists.
-
-Never refresh to paper over an unexplained drop — the gate exists to
-make that conversation happen on the PR.
+--promote takes result files and/or directories of them (every *.json
+inside) and copies each over its baseline path. When several runs map to
+one baseline (CI uploads a 4-shard and a 1-shard serving run), the run
+with the most shards wins: that is the configuration the absolute rows
+measure. Replace a bootstrap baseline the same way as soon as its machine
+class has a green run. Never refresh to paper over an unexplained drop:
+the gate exists to make that conversation happen in review.
 """
 
 import argparse
@@ -104,286 +56,103 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_DIR = REPO_ROOT / "bench" / "baselines"
-GATED_BATCH_SIZE = 64
-
-
-def qps_at(report: dict, batch_size: int) -> float:
-    for entry in report.get("batched", []):
-        if entry.get("batch_size") == batch_size:
-            return float(entry["qps"])
-    raise KeyError(f"no batched entry with batch_size={batch_size}")
-
-
-class BatchInferenceGate:
-    name = f"batch-{GATED_BATCH_SIZE} throughput"
-
-    @staticmethod
-    def baseline_path_for(report: dict) -> Path:
-        return BASELINE_DIR / "batch_inference_baseline.json"
-
-    @staticmethod
-    def gated_metrics(report: dict) -> dict:
-        return {"batch-64 qps": qps_at(report, GATED_BATCH_SIZE)}
-
-    @staticmethod
-    def print_comparison(baseline: dict, result: dict) -> None:
-        print(f"{'batch':>8} {'baseline qps':>14} {'current qps':>14} "
-              f"{'ratio':>7}")
-        for entry in baseline.get("batched", []):
-            size = entry["batch_size"]
-            base = float(entry["qps"])
-            try:
-                cur = qps_at(result, size)
-            except KeyError:
-                print(f"{size:>8} {base:>14.0f} {'missing':>14} {'-':>7}")
-                continue
-            print(f"{size:>8} {base:>14.0f} {cur:>14.0f} "
-                  f"{cur / base:>7.2f}")
-
-
-class ServingGate:
-    name = "closed-loop 16-client serving throughput"
-
-    @staticmethod
-    def baseline_path_for(report: dict) -> Path:
-        cores = report.get("hardware_threads")
-        if not cores:
-            print("ERROR: serving result JSON carries no "
-                  "\"hardware_threads\"; cannot pick a machine-class "
-                  "baseline.", file=sys.stderr)
-            sys.exit(2)
-        return BASELINE_DIR / f"serving_baseline_{int(cores)}core.json"
-
-    @staticmethod
-    def gated_metrics(report: dict) -> dict:
-        metrics = {
-            "cached 16-client qps": float(report["closed_loop_16_qps"]),
-        }
-        # Older baselines predate the uncached metric; gate it only when
-        # both sides carry it.
-        if "closed_loop_16_uncached_qps" in report:
-            metrics["uncached 16-client qps"] = float(
-                report["closed_loop_16_uncached_qps"])
-        return metrics
-
-    @staticmethod
-    def print_comparison(baseline: dict, result: dict) -> None:
-        print(f"{'config/clients':>20} {'baseline qps':>14} "
-              f"{'current qps':>14} {'ratio':>7}")
-        current = {(e["config"], e["clients"]): float(e["qps"])
-                   for e in result.get("closed_loop", [])}
-        for entry in baseline.get("closed_loop", []):
-            key = (entry["config"], entry["clients"])
-            base = float(entry["qps"])
-            label = f"{key[0]}/{key[1]}"
-            cur = current.get(key)
-            if cur is None:
-                print(f"{label:>20} {base:>14.0f} {'missing':>14} "
-                      f"{'-':>7}")
-                continue
-            print(f"{label:>20} {base:>14.0f} {cur:>14.0f} "
-                  f"{cur / base:>7.2f}")
-        base_serial = baseline.get("serial_qps")
-        cur_serial = result.get("serial_qps")
-        if base_serial and cur_serial:
-            print(f"{'serial':>20} {base_serial:>14.0f} "
-                  f"{cur_serial:>14.0f} "
-                  f"{cur_serial / base_serial:>7.2f}")
-
-
-class PlannerGate:
-    name = "planner enumeration throughput"
-
-    @staticmethod
-    def baseline_path_for(report: dict) -> Path:
-        cores = report.get("hardware_threads")
-        if not cores:
-            print("ERROR: planner result JSON carries no "
-                  "\"hardware_threads\"; cannot pick a machine-class "
-                  "baseline.", file=sys.stderr)
-            sys.exit(2)
-        return BASELINE_DIR / f"planner_baseline_{int(cores)}core.json"
-
-    @staticmethod
-    def gated_metrics(report: dict) -> dict:
-        return {"warm plans/sec": float(report["plans_per_sec"])}
-
-    @staticmethod
-    def print_comparison(baseline: dict, result: dict) -> None:
-        print(f"{'metric':>24} {'baseline':>14} {'current':>14} "
-              f"{'ratio':>7}")
-        for key in ("plans_per_sec", "plans_per_sec_cold",
-                    "plans_per_sec_naive", "subplans_per_sec",
-                    "batched_vs_naive_speedup"):
-            base = baseline.get(key)
-            cur = result.get(key)
-            if base is None or cur is None:
-                continue
-            base, cur = float(base), float(cur)
-            ratio = cur / base if base > 0 else 0.0
-            print(f"{key:>24} {base:>14.0f} {cur:>14.0f} {ratio:>7.2f}")
-
-
-class StoreGate:
-    name = "mapped registry cold start"
-
-    @staticmethod
-    def baseline_path_for(report: dict) -> Path:
-        cores = report.get("hardware_threads")
-        if not cores:
-            print("ERROR: store result JSON carries no "
-                  "\"hardware_threads\"; cannot pick a machine-class "
-                  "baseline.", file=sys.stderr)
-            sys.exit(2)
-        return BASELINE_DIR / f"store_baseline_{int(cores)}core.json"
-
-    @staticmethod
-    def gated_metrics(report: dict) -> dict:
-        return {"mapped cold starts/sec":
-                float(report["mapped_cold_starts_per_sec"])}
-
-    @staticmethod
-    def print_comparison(baseline: dict, result: dict) -> None:
-        print(f"{'registry':>9} {'base mapped ms':>15} "
-              f"{'cur mapped ms':>14} {'base speedup':>13} "
-              f"{'cur speedup':>12}")
-        current = {int(e["models"]): e for e in result.get("registry", [])}
-        for entry in baseline.get("registry", []):
-            models = int(entry["models"])
-            cur = current.get(models)
-            if cur is None:
-                print(f"{models:>9} {float(entry['mapped_cold_ms']):>15.3f} "
-                      f"{'missing':>14} "
-                      f"{float(entry['speedup']):>13.1f} {'-':>12}")
-                continue
-            print(f"{models:>9} {float(entry['mapped_cold_ms']):>15.3f} "
-                  f"{float(cur['mapped_cold_ms']):>14.3f} "
-                  f"{float(entry['speedup']):>13.1f} "
-                  f"{float(cur['speedup']):>12.1f}")
-        for key in ("size_independence_ratio", "mmap_vs_streamed_speedup"):
-            base = baseline.get(key)
-            cur = result.get(key)
-            if base is None or cur is None:
-                continue
-            print(f"{key}: baseline {float(base):.2f} current "
-                  f"{float(cur):.2f}")
-
+MIN_VS_BASELINE = 0.80  # the -20% margin of every absolute row
 
 GATES = {
-    "batch_inference": BatchInferenceGate,
-    "serving": ServingGate,
-    "planner": PlannerGate,
-    "store": StoreGate,
+    "batch_inference": [
+        ("batch64_qps", "q/s", "absolute", MIN_VS_BASELINE),
+    ],
+    "serving": [
+        ("closed_loop_16_qps", "q/s", "absolute", MIN_VS_BASELINE),
+        ("closed_loop_16_uncached_qps", "q/s", "absolute", MIN_VS_BASELINE),
+        # Feedback-off over feedback-on final median q-error after drift.
+        ("feedback_loop.qerror_convergence_ratio", "x", "at_least", 1.5),
+        # Multi-shard over 1-shard uncached qps, sized for a 4-vCPU runner.
+        ("closed_loop_16_uncached_qps", "q/s", "scaling", 2.5),
+    ],
+    "planner": [
+        ("plans_per_sec", "plans/s", "absolute", MIN_VS_BASELINE),
+        # Memoized batched pricing over one blocking Estimate per sub-plan.
+        ("batched_vs_naive_speedup", "x", "at_least", 5.0),
+    ],
+    "store": [
+        ("mapped_cold_starts_per_sec", "starts/s", "absolute",
+         MIN_VS_BASELINE),
+        # Mapped cold start over a streamed Load of the largest registry.
+        ("mmap_vs_streamed_speedup", "x", "at_least", 5.0),
+    ],
 }
 
 
-def run_planner_speedup_floor(result: dict, result_path: Path,
-                              min_speedup: float) -> bool:
-    """The machine-relative planner floor; True when it holds."""
-    speedup = float(result.get("batched_vs_naive_speedup", 0.0))
-    if speedup < min_speedup:
-        print(f"FAIL: planner batched+memoized pricing is only "
-              f"{speedup:.1f}x the naive one-Estimate-per-sub-plan mode "
-              f"in {result_path} (required >= {min_speedup:.1f}x). The "
-              f"bulk pricing path stopped paying for itself — look for "
-              f"a memo regression, per-sub-plan materialization creeping "
-              f"back in, or EstimateBatch falling back to per-query "
-              f"submission.", file=sys.stderr)
-        return False
-    print(f"OK: planner batched+memoized vs naive speedup {speedup:.1f}x "
-          f">= {min_speedup:.1f}x (machine-relative floor).")
-    return True
+def die(message: str):
+    print(f"ERROR: {message}", file=sys.stderr)
+    sys.exit(2)
 
 
-def run_store_speedup_floor(result: dict, result_path: Path,
-                            min_speedup: float) -> bool:
-    """The machine-relative store floor; True when it holds."""
-    speedup = float(result.get("mmap_vs_streamed_speedup", 0.0))
-    models = int(result.get("largest_registry_models", 0))
-    if speedup < min_speedup:
-        print(f"FAIL: mapped cold start is only {speedup:.1f}x the "
-              f"streamed Load at the {models}-model registry in "
-              f"{result_path} (required >= {min_speedup:.1f}x). The "
-              f"store's zero-copy attach stopped paying for itself — "
-              f"look for a weight copy creeping into AttachWeights, an "
-              f"eager per-combo allocation in AttachMappedSource, or "
-              f"the manifest index re-growing O(N) work at Open.",
-              file=sys.stderr)
-        return False
-    print(f"OK: mapped vs streamed cold start {speedup:.1f}x >= "
-          f"{min_speedup:.1f}x at the {models}-model registry "
-          f"(machine-relative floor; size-independence ratio "
-          f"{float(result.get('size_independence_ratio', 0.0)):.2f}).")
-    return True
+def load(path) -> dict:
+    """Reads a result or baseline JSON of a gated bench kind, or exits 2."""
+    try:
+        report = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as err:
+        die(f"cannot read {path}: {err}")
+    if not isinstance(report, dict) or report.get("bench") not in GATES:
+        kind = report.get("bench") if isinstance(report, dict) else None
+        die(f"{path} has bench kind {kind!r}; expected one of {sorted(GATES)}")
+    return report
 
 
-def run_qerror_convergence_floor(result: dict, result_path: Path,
-                                 min_ratio: float) -> bool:
-    """The machine-relative feedback-loop floor; True when it holds.
-
-    Serving results predating the feedback_loop phase pass trivially —
-    there is nothing to gate yet, and failing would block unrelated
-    baseline refreshes.
-    """
-    loop = result.get("feedback_loop")
-    if loop is None:
-        print("note: no feedback_loop object in this serving result; "
-              "convergence floor skipped (bench_serving too old?).")
-        return True
-    ratio = float(loop.get("qerror_convergence_ratio", 0.0))
-    if ratio < min_ratio:
-        print(f"FAIL: feedback-loop q-error convergence ratio is only "
-              f"{ratio:.2f}x in {result_path} (required >= "
-              f"{min_ratio:.2f}x). With the loop closed the post-drift "
-              f"median q-error must converge measurably below the "
-              f"feedback-off run's — look for a collector that stopped "
-              f"draining pairs, a lifecycle that no longer retrains on "
-              f"them, or an incremental swap shipping stale weights.",
-              file=sys.stderr)
-        return False
-    print(f"OK: feedback-loop q-error convergence {ratio:.2f}x >= "
-          f"{min_ratio:.2f}x (machine-relative floor; on-run "
-          f"{float(loop.get('feedback_on_final_median_qerror', 0.0)):.2f} "
-          f"vs off-run "
-          f"{float(loop.get('feedback_off_final_median_qerror', 0.0)):.2f} "
-          f"final median q-error).")
-    return True
+def metric(report: dict, key: str):
+    """The value at a top-level or dotted key, or None when absent."""
+    value = report
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    return float(value) if isinstance(value, (int, float)) else None
 
 
-def promote_artifact(artifact_dir: Path) -> int:
-    """Promotes every benchmark JSON in a downloaded CI artifact to its
-    baseline. Several serving runs of one machine class collapse to the
-    one with the most shards (the gated configuration)."""
-    if not artifact_dir.is_dir():
-        print(f"ERROR: {artifact_dir} is not a directory.", file=sys.stderr)
-        return 2
-    candidates = sorted(artifact_dir.glob("*.json"))
-    if not candidates:
-        print(f"ERROR: no *.json files in {artifact_dir}.", file=sys.stderr)
-        return 2
-    # baseline path -> (shards, source path); higher shard counts win.
-    chosen: dict = {}
-    for path in candidates:
-        try:
-            report = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            print(f"skip {path.name}: not valid JSON")
+def baseline_path(report: dict) -> Path:
+    cores = report.get("hardware_threads")
+    suffix = f"_{cores}core" if isinstance(cores, int) and cores > 0 else ""
+    return BASELINE_DIR / f"{report['bench']}_baseline{suffix}.json"
+
+
+def rows_of(report: dict, rule: str) -> list:
+    return [row for row in GATES[report["bench"]] if row[2] == rule]
+
+
+def check(rows: list, current: dict, reference) -> bool:
+    """Prints one line per row; True when every row holds."""
+    ok = True
+    for key, unit, rule, floor in rows:
+        cur = metric(current, key)
+        ref = 1.0 if rule == "at_least" else metric(reference, key)
+        if cur is None or ref is None:
+            side = "result" if cur is None else "reference"
+            print(f"FAIL  {key} ({rule}): missing from the {side}",
+                  file=sys.stderr)
+            ok = False
             continue
-        kind = report.get("bench")
-        if kind not in GATES:
-            print(f"skip {path.name}: unknown bench kind {kind!r}")
-            continue
-        dest = GATES[kind].baseline_path_for(report)
-        shards = int(report.get("shards", 0))
-        if dest in chosen and chosen[dest][0] >= shards:
-            print(f"skip {path.name}: {chosen[dest][1].name} has more "
-                  f"shards for {dest.name}")
-            continue
-        chosen[dest] = (shards, path)
-    if not chosen:
-        print(f"ERROR: nothing promotable in {artifact_dir}.",
-              file=sys.stderr)
-        return 2
+        ratio = cur / ref if ref > 0 else 0.0
+        passed = ratio >= floor
+        shown_ref = "-" if rule == "at_least" else f"{ref:.6g}"
+        print(f"{'ok  ' if passed else 'FAIL'}  {key:<40} {shown_ref:>12} "
+              f"{cur:>12.6g} {ratio:>7.2f}  {unit:<8} "
+              f"({rule}, need >= {floor:g})")
+        ok = ok and passed
+    return ok
+
+
+def promote(paths: list) -> int:
+    sources = []
+    for path in map(Path, paths):
+        sources += sorted(path.glob("*.json")) if path.is_dir() else [path]
+    if not sources:
+        die(f"no result JSONs in {' '.join(paths)}")
+    chosen = {}  # baseline path -> (shards, source); most shards wins
+    for src in sources:
+        report = load(src)
+        dest, shards = baseline_path(report), metric(report, "shards") or 0
+        if dest not in chosen or chosen[dest][0] < shards:
+            chosen[dest] = (shards, src)
     for dest, (_, src) in sorted(chosen.items()):
         dest.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(src, dest)
@@ -392,218 +161,52 @@ def promote_artifact(artifact_dir: Path) -> int:
     return 0
 
 
-def gate_for(report: dict, path: Path):
-    kind = report.get("bench")
-    if kind not in GATES:
-        print(f"ERROR: {path} has unknown bench kind {kind!r} "
-              f"(expected one of {sorted(GATES)})", file=sys.stderr)
-        sys.exit(2)
-    return GATES[kind]
-
-
-def load(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        print(f"ERROR: {path} does not exist.", file=sys.stderr)
-        sys.exit(2)
-
-
-def run_scaling_gate(multi_path: Path, single_path: Path,
-                     min_scaling: float) -> int:
-    multi = load(multi_path)
-    single = load(single_path)
-    for report, path in ((multi, multi_path), (single, single_path)):
-        if report.get("bench") != "serving":
-            print(f"ERROR: --scaling expects serving JSONs; {path} is "
-                  f"{report.get('bench')!r}.", file=sys.stderr)
-            return 2
-        if "closed_loop_16_uncached_qps" not in report:
-            print(f"ERROR: {path} carries no closed_loop_16_uncached_qps "
-                  f"(bench_serving too old?).", file=sys.stderr)
-            return 2
-    multi_shards = int(multi.get("shards", 0))
-    single_shards = int(single.get("shards", 0))
-    if single_shards != 1:
-        print(f"ERROR: the second --scaling argument must be a 1-shard "
-              f"run (got shards={single_shards} in {single_path}).",
-              file=sys.stderr)
-        return 2
-    multi_qps = float(multi["closed_loop_16_uncached_qps"])
-    single_qps = float(single["closed_loop_16_uncached_qps"])
-    ratio = multi_qps / single_qps if single_qps > 0 else 0.0
-    print(f"shard scaling (uncached 16-client closed loop): "
-          f"{multi_shards} shards {multi_qps:.0f} q/s vs 1 shard "
-          f"{single_qps:.0f} q/s -> {ratio:.2f}x "
-          f"(required >= {min_scaling:.2f}x)")
-    if ratio < min_scaling:
-        print(f"\nFAIL: {multi_shards}-shard uncached qps is only "
-              f"{ratio:.2f}x the 1-shard run (required "
-              f">= {min_scaling:.2f}x). Shard-per-core serving stopped "
-              f"scaling — look for a cross-shard lock, a shared atomic "
-              f"on the hot path, or worker threads pinned to one core.",
-              file=sys.stderr)
-        return 1
-    print(f"OK: shard scaling {ratio:.2f}x >= {min_scaling:.2f}x.")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("result", nargs="?",
-                        default="BENCH_batch_inference.json",
-                        help="fresh benchmark JSON (default: %(default)s)")
-    parser.add_argument("--baseline", default=None,
-                        help="committed baseline JSON (default: picked "
-                             "from the result's bench kind and machine "
-                             "class)")
-    parser.add_argument("--threshold", type=float, default=0.20,
-                        help="max allowed fractional drop of a gated "
-                             "metric (default: %(default)s)")
-    parser.add_argument("--scaling", nargs=2,
-                        metavar=("MULTI_SHARD_JSON", "SINGLE_SHARD_JSON"),
-                        help="machine-relative shard-scaling gate: "
-                             "compare closed_loop_16_uncached_qps of a "
-                             "multi-shard run against a 1-shard run from "
-                             "the same job")
-    parser.add_argument("--min-scaling", type=float, default=2.5,
-                        help="required multi-shard / 1-shard uncached qps "
-                             "ratio for --scaling (default: %(default)s)")
-    parser.add_argument("--min-planner-speedup", type=float, default=5.0,
-                        help="required batched_vs_naive_speedup for "
-                             "planner results (machine-relative, "
-                             "enforced even when the absolute gate is "
-                             "skipped; default: %(default)s)")
-    parser.add_argument("--min-store-speedup", type=float, default=5.0,
-                        help="required mmap_vs_streamed_speedup for "
-                             "store results (machine-relative, enforced "
-                             "even when the absolute gate is skipped; "
-                             "default: %(default)s)")
-    parser.add_argument("--min-qerror-convergence", type=float,
-                        default=1.2,
-                        help="required feedback_loop."
-                             "qerror_convergence_ratio for serving "
-                             "results carrying one (machine-relative, "
-                             "enforced even when the absolute gate is "
-                             "skipped; default: %(default)s)")
-    parser.add_argument("--update-baseline", metavar="RESULT_JSON",
-                        help="copy RESULT_JSON over its kind's (and "
-                             "machine class's) baseline and exit")
-    parser.add_argument("--from-artifact", metavar="DIR",
-                        help="promote every benchmark JSON in a "
-                             "downloaded CI artifact directory to its "
-                             "baseline (serving: the run with the most "
-                             "shards wins per machine class) and exit")
+    parser.add_argument("result", nargs="?", help="fresh benchmark JSON")
+    parser.add_argument("--scaling", nargs=2, metavar=("MULTI", "SINGLE"),
+                        help="apply the scaling rows: a multi-shard run "
+                             "against a 1-shard run from the same job")
+    parser.add_argument("--promote", nargs="+", metavar="PATH",
+                        help="copy result JSONs (files or directories) "
+                             "over their baselines and exit")
     args = parser.parse_args()
-
+    if args.promote:
+        return promote(args.promote)
+    if not args.result and not args.scaling:
+        parser.error("give a result JSON, --scaling or --promote")
+    print(f"      {'metric':<40} {'baseline':>12} {'current':>12} "
+          f"{'ratio':>7}  unit")
     if args.scaling:
-        return run_scaling_gate(Path(args.scaling[0]),
-                                Path(args.scaling[1]), args.min_scaling)
-
-    if args.from_artifact:
-        return promote_artifact(Path(args.from_artifact))
-
-    if args.update_baseline:
-        src = Path(args.update_baseline)
-        report = json.loads(src.read_text())  # refuse malformed JSON
-        dest = Path(args.baseline) if args.baseline else gate_for(
-            report, src).baseline_path_for(report)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(src, dest)
-        print(f"baseline refreshed from {src} -> {dest}")
-        return 0
-
-    result_path = Path(args.result)
-    result = load(result_path)
-    gate = gate_for(result, result_path)
-
-    # The machine-relative floors hold regardless of whether an absolute
-    # baseline exists for this machine class — both sides of each ratio
-    # come from the same process, so hardware drift cancels out.
-    relative_floors_ok = True
-    if result.get("bench") == "planner":
-        relative_floors_ok = run_planner_speedup_floor(
-            result, result_path, args.min_planner_speedup)
-    if result.get("bench") == "serving":
-        relative_floors_ok = run_qerror_convergence_floor(
-            result, result_path, args.min_qerror_convergence) \
-            and relative_floors_ok
-    if result.get("bench") == "store":
-        relative_floors_ok = run_store_speedup_floor(
-            result, result_path, args.min_store_speedup) \
-            and relative_floors_ok
-
-    baseline_path = Path(args.baseline) if args.baseline \
-        else gate.baseline_path_for(result)
-    if not baseline_path.exists():
-        cores = result.get("hardware_threads", "?")
-        print(f"FAIL: no committed baseline for this machine class: "
-              f"{baseline_path} does not exist (this run reports "
-              f"hardware_threads={cores}).", file=sys.stderr)
-        print(f"Bootstrap one from a representative run on this class "
-              f"and commit it:\n"
-              f"  python3 scripts/check_bench_regression.py "
-              f"--update-baseline {result_path}\n"
-              f"  git add bench/baselines/", file=sys.stderr)
+        multi, single = (load(path) for path in args.scaling)
+        rows = rows_of(multi, "scaling")
+        if not rows or single["bench"] != multi["bench"] \
+                or single.get("shards") != 1:
+            die("--scaling needs two runs of one bench that has scaling "
+                "rows, the second with shards=1")
+        return 0 if check(rows, multi, single) else 1
+    result = load(args.result)
+    ok = check(rows_of(result, "at_least"), result, None)
+    path = baseline_path(result)
+    if not path.exists():
+        print(f"FAIL: no baseline for this machine class: {path} does not "
+              f"exist. Bootstrap one from a representative run on this "
+              f"class: --promote {args.result}", file=sys.stderr)
         return 1
-    baseline = load(baseline_path)
-
-    # Absolute qps is only comparable on the same machine class; the SIMD
-    # ISA the kernels resolved to is the best proxy the JSON carries
-    # beyond the core count already baked into the file name. On a
-    # mismatch (e.g. a baseline recorded on an AVX-512 dev box vs an
-    # AVX2-pinned CI runner) the hard gate would only measure the hardware
-    # delta — warn and ask for a refresh instead of failing spuriously.
-    base_isa = baseline.get("simd_isa", "unknown")
-    cur_isa = result.get("simd_isa", "unknown")
-    if base_isa != cur_isa:
-        print(f"WARNING: baseline simd_isa={base_isa!r} does not match "
-              f"this run's simd_isa={cur_isa!r}; skipping the regression "
-              f"gate — refresh the baseline from a run on this machine "
-              f"class (see the header of this script).")
-        return 0 if relative_floors_ok else 1
-
-    # A bootstrap baseline records the machine class but no trustworthy
-    # absolute numbers yet (committed before the class had a green run).
-    if baseline.get("bootstrap"):
-        print(f"WARNING: {baseline_path} is a bootstrap placeholder for "
-              f"this machine class — absolute gate skipped. Refresh it "
-              f"with real numbers from a green run:\n"
-              f"  python3 scripts/check_bench_regression.py "
-              f"--update-baseline {result_path}\n"
-              f"  git add bench/baselines/")
-        return 0 if relative_floors_ok else 1
-
-    gate.print_comparison(baseline, result)
-
-    base_metrics = gate.gated_metrics(baseline)
-    cur_metrics = gate.gated_metrics(result)
-    failed = False
-    print()
-    for name, base_value in base_metrics.items():
-        cur_value = cur_metrics.get(name)
-        if cur_value is None:
-            print(f"FAIL: gated metric {name!r} missing from "
-                  f"{result_path}.", file=sys.stderr)
-            failed = True
-            continue
-        floor = base_value * (1.0 - args.threshold)
-        if cur_value < floor:
-            print(f"FAIL: {gate.name} [{name}] {cur_value:.0f} q/s is "
-                  f"below the regression floor {floor:.0f} q/s "
-                  f"({base_value:.0f} baseline - {args.threshold:.0%}).",
-                  file=sys.stderr)
-            failed = True
-        else:
-            print(f"OK: {gate.name} [{name}] {cur_value:.0f} q/s >= "
-                  f"floor {floor:.0f} q/s (baseline {base_value:.0f}, "
-                  f"threshold {args.threshold:.0%}).")
-    if failed or not relative_floors_ok:
-        if failed:
-            print("If a drop is intended, refresh the baseline (see the "
-                  "header of this script).", file=sys.stderr)
-        return 1
-    return 0
+    baseline = load(path)
+    isa = (baseline.get("simd_isa"), result.get("simd_isa"))
+    skip = (f"baseline simd_isa {isa[0]!r} != result {isa[1]!r}"
+            if isa[0] != isa[1] else
+            "bootstrap placeholder" if baseline.get("bootstrap") else None)
+    if skip:
+        print(f"WARNING: absolute rows skipped ({skip}). Refresh {path} "
+              f"from a run on this machine class with --promote.")
+    else:
+        ok = check(rows_of(result, "absolute"), result, baseline) and ok
+    if not ok:
+        print("If a drop is intended, refresh the baseline (see the header "
+              "of this script).", file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

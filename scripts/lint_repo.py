@@ -30,14 +30,14 @@ relies on but cannot enforce locally:
                     warm-up), never through raw calls the scratch-reuse
                     discipline cannot amortize.
 
-  baseline-keys     Every bench JSON key that check_bench_regression.py
-                    gates must actually exist in each committed baseline
-                    under bench/baselines/. Verified by running each
-                    gate's own gated_metrics() extractor against the
-                    committed baseline file — so this lint cannot drift
-                    from the gate (a new gated key that nobody added to
-                    the baselines fails here at lint time, not at 2am
-                    when the perf leg first runs).
+  baseline-keys     Every metric an absolute row of
+                    check_bench_regression.GATES gates must exist, as a
+                    positive number, in each committed non-bootstrap
+                    baseline of that bench kind under bench/baselines/.
+                    It reads the gate's own table and key resolver, so it
+                    cannot drift from the gate (a new gated key that
+                    nobody added to the baselines fails here at lint
+                    time, not when the perf leg first runs).
 
 Run from anywhere: `python3 scripts/lint_repo.py`. Exit 0 when clean,
 1 with one line per violation otherwise. Wired into both compilers'
@@ -215,8 +215,7 @@ def check_baseline_keys() -> list[str]:
             errors.append(f"{rel}: invalid JSON ({err})")
             continue
         kind = report.get("bench")
-        gate = check_bench_regression.GATES.get(kind)
-        if gate is None:
+        if kind not in check_bench_regression.GATES:
             errors.append(
                 f"{rel}: \"bench\": {kind!r} matches no gate in "
                 "check_bench_regression.GATES "
@@ -231,18 +230,11 @@ def check_baseline_keys() -> list[str]:
                 errors.append(f"{rel}: bootstrap baseline without a "
                               "\"note\" refresh instruction")
             continue
-        try:
-            metrics = gate.gated_metrics(report)
-        except (KeyError, TypeError, ValueError) as err:
-            errors.append(
-                f"{rel}: gate '{gate.name}' cannot extract its gated "
-                f"metrics from this baseline ({err!r}) — the perf leg "
-                "would crash instead of gating")
-            continue
-        for metric, value in metrics.items():
-            if not (isinstance(value, float) and value > 0):
-                errors.append(f"{rel}: gated metric '{metric}' is "
-                              f"{value!r}, expected a positive number")
+        for key, *_ in check_bench_regression.rows_of(report, "absolute"):
+            value = check_bench_regression.metric(report, key)
+            if value is None or value <= 0:
+                errors.append(f"{rel}: gated metric '{key}' is {value!r}, "
+                              "expected a positive number")
     return errors
 
 

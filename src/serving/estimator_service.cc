@@ -10,10 +10,13 @@ namespace lmkg::serving {
 
 namespace {
 
+// Independently-locked sub-shards inside each serving shard's cache
+// slice: concurrent CLIENT threads of one shard contend on lookup, not
+// the shard worker.
+constexpr size_t kCacheSubShards = 8;
+
 ServiceConfig Sanitize(ServiceConfig config) {
   config.max_batch_size = std::max<size_t>(config.max_batch_size, 1);
-  config.workload_sample_every =
-      std::max<size_t>(config.workload_sample_every, 1);
   // A ring smaller than one batch would back-pressure producers before a
   // single batch could even fill.
   config.ring_capacity =
@@ -34,7 +37,7 @@ EstimatorService::Shard::Shard(
     size_t tap_capacity_in)
     : ring(config.ring_capacity),
       replica(std::move(model)),
-      cache(QueryCacheConfig{cache_capacity, config.cache_shards}),
+      cache(QueryCacheConfig{cache_capacity, kCacheSubShards}),
       tap_capacity(tap_capacity_in) {
   tap.reserve(tap_capacity);
 }
@@ -126,9 +129,6 @@ bool EstimatorService::PrepareAndTryCache(const query::Query& q,
 void EstimatorService::MaybeSampleWorkload(Shard& shard,
                                            const query::Query& q) {
   if (shard.tap_capacity == 0) return;
-  const uint64_t n =
-      shard.tap_counter.fetch_add(1, std::memory_order_relaxed);
-  if (n % config_.workload_sample_every != 0) return;
   // Drop the sample under contention, never stall a client.
   if (!shard.tap_mu.TryLock()) return;
   util::MutexLock lock(&shard.tap_mu, util::kAdoptLock);

@@ -50,20 +50,12 @@ struct ServiceConfig {
   /// fingerprints that route to it, so a query's cache entry lives on
   /// the shard that serves it.
   size_t cache_capacity = 0;
-  /// Independently-locked sub-shards inside each serving shard's cache
-  /// slice (concurrent CLIENT threads of one shard contend on lookup,
-  /// not the shard worker).
-  size_t cache_shards = 8;
-  /// Live-workload tap: sampled request queries accumulate in small
-  /// per-shard rings that DrainWorkloadSamples empties — the signal a
-  /// background ModelLifecycle feeds into its WorkloadMonitor to detect
-  /// drift. The capacity is summed across shards; 0 disables the tap (no
-  /// overhead on the request path).
+  /// Live-workload tap: request queries accumulate in small per-shard
+  /// rings that DrainWorkloadSamples empties — the signal a background
+  /// ModelLifecycle feeds into its WorkloadMonitor to detect drift. The
+  /// capacity is summed across shards; 0 disables the tap (no overhead
+  /// on the request path).
   size_t workload_tap_capacity = 0;
-  /// Sample every Nth request per shard into the tap (clamped to >= 1).
-  /// Sampling preserves the workload's combo mix, which is all the
-  /// monitor needs.
-  size_t workload_sample_every = 1;
   /// When a blocking Estimate targets a shard whose ring is empty and
   /// whose worker is idle (replica mutex uncontended), compute on the
   /// CALLER's thread instead of round-tripping through the worker —
@@ -191,8 +183,8 @@ class EstimatorService {
   void ResetStats();
 
   size_t num_shards() const { return shards_.size(); }
-  /// One replica per shard; kept for lifecycle callers that loop
-  /// `ReplaceReplica(0..num_replicas())`.
+  /// One replica per shard: the index range of ReplaceReplica and
+  /// WithReplica.
   size_t num_replicas() const { return shards_.size(); }
 
   /// Current model generation. Starts at 0; only AdvanceEpoch moves it.
@@ -217,13 +209,13 @@ class EstimatorService {
 
   /// Runs `fn` on shard `index`'s LIVE replica under that shard's
   /// replica mutex — the in-place alternative to ReplaceReplica for
-  /// incremental mutations (loading one combo's updated model into an
-  /// AdaptiveLmkg replica, inserting into an outlier buffer) where
-  /// shipping a whole fresh replica per shard would copy the unchanged
-  /// majority of the registry. The shard's worker and inline callers
-  /// block for the duration, so keep `fn` to deserialize-and-swap work.
-  /// Same protocol as ReplaceReplica: mutate every shard, then
-  /// AdvanceEpoch() once.
+  /// incremental mutations (installing one combo's retrained weights
+  /// into an AdaptiveLmkg replica, inserting into an outlier buffer)
+  /// where shipping a whole fresh replica per shard would copy the
+  /// unchanged majority of the registry. The shard's worker and inline
+  /// callers block for the duration, so keep `fn` to installing state
+  /// prepared off-path (e.g. AdaptiveLmkg::Install). Same protocol as
+  /// ReplaceReplica: mutate every shard, then AdvanceEpoch() once.
   void WithReplica(size_t index,
                    const std::function<void(core::CardinalityEstimator*)>& fn);
 
@@ -307,7 +299,6 @@ class EstimatorService {
     std::vector<query::Query> tap LMKG_GUARDED_BY(tap_mu);
     size_t tap_capacity = 0;  // immutable after construction
     size_t tap_next LMKG_GUARDED_BY(tap_mu) = 0;
-    std::atomic<uint64_t> tap_counter{0};
 
     std::thread worker;  // started by the service after construction
   };
