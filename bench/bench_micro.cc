@@ -217,6 +217,17 @@ void BM_WorkloadGenerateStar2(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadGenerateStar2)->Unit(benchmark::kMillisecond);
 
+// The costliest bench/e2e pool to label: chain-8 (100 queries on SWDF
+// 0.1), where exact counts dominate and vary most per candidate.
+void BM_WorkloadGenerateChain8(benchmark::State& state) {
+  const rdf::Graph& graph = SetupGraph();
+  sampling::WorkloadGenerator generator(graph);
+  const auto options = SetupPoolOptions(Topology::kChain, 8, 8);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(generator.Generate(options).size());
+}
+BENCHMARK(BM_WorkloadGenerateChain8)->Unit(benchmark::kMillisecond);
+
 void BM_ResMadeConditional(benchmark::State& state) {
   nn::ResMadeConfig config;
   config.domain_sizes = {1000, 50, 1000, 50, 1000};

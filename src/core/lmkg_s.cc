@@ -21,6 +21,7 @@ LmkgS::LmkgS(std::unique_ptr<encoding::QueryEncoder> encoder,
     : encoder_(std::move(encoder)), config_(config), mapped_(mapped) {
   LMKG_CHECK(encoder_ != nullptr);
   LMKG_CHECK_GE(config_.num_hidden_layers, 1);
+  LMKG_CHECK_GE(config_.batch_size, 1u);
   BuildNetwork();
 }
 
@@ -151,17 +152,24 @@ LmkgS::TrainStats LmkgS::Train(
   }
   const double log_range = scaler_.log_max() - scaler_.log_min();
 
-  // Pre-encode the whole training set.
+  // Pre-encode the whole training set, as unit-valued sparse rows when
+  // the encoder has that form (the first layer then consumes the rows
+  // directly, as at inference, with bit-identical results), else dense.
   const size_t width = encoder_->width();
-  nn::Matrix features(data.size(), width);
+  std::vector<query::Query> queries;
+  queries.reserve(data.size());
   std::vector<float> labels(data.size());
   for (size_t i = 0; i < data.size(); ++i) {
     LMKG_CHECK(encoder_->CanEncode(data[i].query))
         << "training query not encodable: "
         << query::QueryToString(data[i].query);
-    encoder_->Encode(data[i].query, features.row(i));
+    queries.push_back(data[i].query);
     labels[i] = static_cast<float>(scaler_.Scale(data[i].cardinality));
   }
+  nn::SparseRows sparse_features;
+  nn::Matrix features;
+  const bool sparse = encoder_->EncodeBatchSparse(queries, &sparse_features);
+  if (!sparse) encoder_->EncodeBatch(queries, &features);
 
   std::vector<size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
@@ -169,6 +177,7 @@ LmkgS::TrainStats LmkgS::Train(
 
   TrainStats stats;
   stats.examples = data.size();
+  nn::SparseRows sparse_batch;
   nn::Matrix batch_x, dpred;
   std::vector<float> batch_y;
   auto params = net_.Params();
@@ -180,14 +189,29 @@ LmkgS::TrainStats LmkgS::Train(
          start += config_.batch_size) {
       size_t end = std::min(start + config_.batch_size, data.size());
       size_t bs = end - start;
-      batch_x.Resize(bs, width);
       batch_y.resize(bs);
-      for (size_t i = 0; i < bs; ++i) {
-        const float* src = features.row(order[start + i]);
-        std::copy(src, src + width, batch_x.row(i));
-        batch_y[i] = labels[order[start + i]];
+      for (size_t i = 0; i < bs; ++i) batch_y[i] = labels[order[start + i]];
+      if (sparse) {
+        sparse_batch.Clear(width);
+        for (size_t i = 0; i < bs; ++i) {
+          const size_t row = order[start + i];
+          sparse_batch.col.insert(
+              sparse_batch.col.end(),
+              sparse_features.col.begin() + sparse_features.row_begin[row],
+              sparse_features.col.begin() +
+                  sparse_features.row_begin[row + 1]);
+          sparse_batch.row_begin.push_back(sparse_batch.col.size());
+        }
+      } else {
+        batch_x.Resize(bs, width);
+        for (size_t i = 0; i < bs; ++i) {
+          const float* src = features.row(order[start + i]);
+          std::copy(src, src + width, batch_x.row(i));
+        }
       }
-      const nn::Matrix& pred = net_.Forward(batch_x, /*training=*/true);
+      const nn::Matrix& pred =
+          sparse ? net_.ForwardSparseInput(sparse_batch, /*training=*/true)
+                 : net_.Forward(batch_x, /*training=*/true);
       double loss =
           config_.loss == LossKind::kQError
               ? nn::QErrorLoss(pred, batch_y, log_range, &dpred)

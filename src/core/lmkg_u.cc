@@ -29,6 +29,7 @@ LmkgU::LmkgU(const rdf::Graph& graph, Topology topology, int k,
   LMKG_CHECK(topology == Topology::kStar || topology == Topology::kChain)
       << "LMKG-U groups are star or chain";
   LMKG_CHECK_GE(k, 1);
+  LMKG_CHECK_GE(config_.batch_size, 1u);
 
   // Pattern-bound term sequence domains (paper §VI-B).
   const uint32_t node_domain = static_cast<uint32_t>(graph.num_nodes());

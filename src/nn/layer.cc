@@ -39,6 +39,11 @@ void Dense::Backward(const Matrix& in, const Matrix&, const Matrix& dout,
   if (din != nullptr) MatMulTransB(dout, w_, din);  // din = dout * Wᵀ
 }
 
+void Dense::BackwardSparse(const SparseRows& in, const Matrix& dout) {
+  MatMulSparseUnitTransAAccum(in, dout, &dw_);  // dW += inᵀ * dout
+  SumRowsAccum(dout, &db_);
+}
+
 void Dense::CollectParams(std::vector<ParamRef>* params) {
   params->push_back({&w_, &dw_});
   params->push_back({&b_, &db_});
@@ -70,6 +75,11 @@ void MaskedDense::Forward(const Matrix& in, Matrix* out, bool training) {
 void MaskedDense::Backward(const Matrix& in, const Matrix& out,
                            const Matrix& dout, Matrix* din) {
   Dense::Backward(in, out, dout, din);
+  HadamardInPlace(&dw_, mask_);
+}
+
+void MaskedDense::BackwardSparse(const SparseRows& in, const Matrix& dout) {
+  Dense::BackwardSparse(in, dout);
   HadamardInPlace(&dw_, mask_);
 }
 
@@ -115,7 +125,9 @@ void Sigmoid::Backward(const Matrix&, const Matrix& out,
 // --- Dropout -------------------------------------------------------------------
 
 Dropout::Dropout(double rate, uint64_t seed)
-    : rate_(rate), rng_(seed, /*stream=*/0xd20) {
+    : rate_(rate),
+      drop_below_(util::Pcg32::BernoulliThreshold(rate)),
+      rng_(seed, /*stream=*/0xd20) {
   LMKG_CHECK(rate >= 0.0 && rate < 1.0);
 }
 
@@ -133,7 +145,7 @@ void Dropout::Forward(const Matrix& in, Matrix* out, bool training) {
   float* m = mask_.data();
   float* y = out->data();
   for (size_t i = 0; i < in.size(); ++i) {
-    m[i] = rng_.Bernoulli(rate_) ? 0.0f : scale;
+    m[i] = rng_.Next53() < drop_below_ ? 0.0f : scale;
     y[i] = x[i] * m[i];
   }
 }
@@ -163,6 +175,7 @@ void Sequential::Add(std::unique_ptr<Layer> layer) {
 const Matrix& Sequential::Forward(const Matrix& in, bool training) {
   LMKG_CHECK(!layers_.empty());
   input_ = &in;
+  sparse_input_ = nullptr;
   const Matrix* current = &in;
   for (size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->Forward(*current, &activations_[i], training);
@@ -171,15 +184,17 @@ const Matrix& Sequential::Forward(const Matrix& in, bool training) {
   return activations_.back();
 }
 
-const Matrix& Sequential::ForwardSparseInput(const SparseRows& in) {
+const Matrix& Sequential::ForwardSparseInput(const SparseRows& in,
+                                             bool training) {
   LMKG_CHECK(!layers_.empty());
-  input_ = nullptr;  // Backward after a sparse forward is invalid
+  input_ = nullptr;
+  sparse_input_ = &in;
   LMKG_CHECK(layers_[0]->ForwardSparse(in, &activations_[0]))
       << "first layer (" << layers_[0]->name()
       << ") does not support sparse input";
   const Matrix* current = &activations_[0];
   for (size_t i = 1; i < layers_.size(); ++i) {
-    layers_[i]->Forward(*current, &activations_[i], /*training=*/false);
+    layers_[i]->Forward(*current, &activations_[i], training);
     current = &activations_[i];
   }
   return activations_.back();
@@ -187,9 +202,16 @@ const Matrix& Sequential::ForwardSparseInput(const SparseRows& in) {
 
 void Sequential::Backward(const Matrix& dout, Matrix* input_grad) {
   LMKG_CHECK(!layers_.empty());
-  LMKG_CHECK(input_ != nullptr) << "Backward before Forward";
+  LMKG_CHECK(input_ != nullptr || sparse_input_ != nullptr)
+      << "Backward before Forward";
+  LMKG_CHECK(sparse_input_ == nullptr || input_grad == nullptr)
+      << "no input gradient after a sparse-input forward";
   const Matrix* current_grad = &dout;
   for (size_t i = layers_.size(); i-- > 0;) {
+    if (i == 0 && sparse_input_ != nullptr) {
+      layers_[0]->BackwardSparse(*sparse_input_, *current_grad);
+      break;
+    }
     const Matrix& in = i == 0 ? *input_ : activations_[i - 1];
     Matrix* din = i == 0 ? input_grad : &grad_buffers_[i - 1];
     layers_[i]->Backward(in, activations_[i], *current_grad, din);

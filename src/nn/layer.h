@@ -33,13 +33,20 @@ class Layer {
   virtual void Backward(const Matrix& in, const Matrix& out,
                         const Matrix& dout, Matrix* din) = 0;
 
-  /// Inference-only forward from a unit-valued sparse input (the native
-  /// form of the 0/1 query encodings). Returns false if the layer cannot
-  /// consume sparse input; layers that can must produce output
-  /// bit-identical to Forward on the equivalent dense matrix. No
-  /// activations are cached — Backward must not follow.
+  /// Forward from a unit-valued sparse input (the native form of the 0/1
+  /// query encodings). Returns false if the layer cannot consume sparse
+  /// input; layers that can must produce output bit-identical to Forward
+  /// on the equivalent dense matrix, and implement BackwardSparse.
   virtual bool ForwardSparse(const SparseRows& /*in*/, Matrix* /*out*/) {
     return false;
+  }
+
+  /// Backward after a ForwardSparse of `in`: accumulates the parameter
+  /// gradients bit-identically to Backward on the equivalent dense input,
+  /// and computes no input gradient.
+  virtual void BackwardSparse(const SparseRows& /*in*/,
+                              const Matrix& /*dout*/) {
+    LMKG_CHECK(false) << name() << " has no sparse backward";
   }
 
   virtual void CollectParams(std::vector<ParamRef>* /*params*/) {}
@@ -66,6 +73,7 @@ class Dense : public Layer {
   void Backward(const Matrix& in, const Matrix& out, const Matrix& dout,
                 Matrix* din) override;
   bool ForwardSparse(const SparseRows& in, Matrix* out) override;
+  void BackwardSparse(const SparseRows& in, const Matrix& dout) override;
   void CollectParams(std::vector<ParamRef>* params) override;
   size_t ParamCount() const override { return w_.size() + b_.size(); }
   std::string name() const override { return "dense"; }
@@ -93,6 +101,7 @@ class MaskedDense : public Dense {
   void Forward(const Matrix& in, Matrix* out, bool training) override;
   void Backward(const Matrix& in, const Matrix& out, const Matrix& dout,
                 Matrix* din) override;
+  void BackwardSparse(const SparseRows& in, const Matrix& dout) override;
   std::string name() const override { return "masked_dense"; }
 
  private:
@@ -134,6 +143,7 @@ class Dropout : public Layer {
 
  private:
   double rate_;
+  uint64_t drop_below_;  // Pcg32::BernoulliThreshold(rate_)
   util::Pcg32 rng_;
   Matrix mask_;
   bool mask_valid_ = false;  // the last Forward drew mask_
@@ -157,17 +167,20 @@ class Sequential {
   void Add(std::unique_ptr<Layer> layer);
 
   const Matrix& Forward(const Matrix& in, bool training);
-  /// Inference-only forward whose input arrives as unit-valued sparse
-  /// rows consumed directly by the first layer (which must support
-  /// ForwardSparse — Dense does). Output is bit-identical to Forward on
-  /// the equivalent dense matrix. Invalidates Backward until the next
-  /// dense Forward.
-  const Matrix& ForwardSparseInput(const SparseRows& in);
+  /// Forward whose input arrives as unit-valued sparse rows consumed
+  /// directly by the first layer (which must support ForwardSparse —
+  /// Dense does). Output is bit-identical to Forward on the equivalent
+  /// dense matrix, and so are the parameter gradients of a following
+  /// Backward, which computes no input gradient. Like Forward, keeps a
+  /// reference to `in`.
+  const Matrix& ForwardSparseInput(const SparseRows& in,
+                                   bool training = false);
   /// Backpropagates dL/d(last output); requires a preceding Forward.
   /// dL/d(input) is computed only when `input_grad` is given — needed
   /// when stacks are chained through non-layer glue (e.g. MSCN's set
   /// pooling); for a first Dense layer it is the largest product of the
-  /// pass, so callers that do not read it skip it.
+  /// pass, so callers that do not read it skip it. After
+  /// ForwardSparseInput, `input_grad` must be null.
   void Backward(const Matrix& dout, Matrix* input_grad = nullptr);
 
   std::vector<ParamRef> Params();
@@ -180,7 +193,10 @@ class Sequential {
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Matrix> activations_;  // activations_[i] = output of layer i
-  const Matrix* input_ = nullptr;    // last forward input (caller-owned)
+  // Last forward input (caller-owned): exactly one is set after a
+  // Forward or ForwardSparseInput.
+  const Matrix* input_ = nullptr;
+  const SparseRows* sparse_input_ = nullptr;
   std::vector<Matrix> grad_buffers_;
 };
 

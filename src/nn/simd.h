@@ -73,6 +73,10 @@ static inline Vec Div(Vec a, Vec b) { return _mm512_div_ps(a, b); }
 static inline Vec Sqrt(Vec v) { return _mm512_maskz_sqrt_ps(0xFFFF, v); }
 /// a * b + c, fused.
 static inline Vec MulAdd(Vec a, Vec b, Vec c) { return _mm512_fmadd_ps(a, b, c); }
+/// MulAdd on one float (see the note after the ISA branches).
+static inline float MulAddScalar(float a, float b, float c) {
+  return std::fma(a, b, c);
+}
 /// Per-lane round to nearest integer (ties to even).
 static inline Vec RoundNearest(Vec v) {
   return _mm512_roundscale_ps(
@@ -128,6 +132,9 @@ static inline Vec Div(Vec a, Vec b) { return _mm256_div_ps(a, b); }
 static inline Vec Sqrt(Vec v) { return _mm256_sqrt_ps(v); }
 /// a * b + c, fused.
 static inline Vec MulAdd(Vec a, Vec b, Vec c) { return _mm256_fmadd_ps(a, b, c); }
+static inline float MulAddScalar(float a, float b, float c) {
+  return std::fma(a, b, c);
+}
 /// Per-lane round to nearest integer (ties to even).
 static inline Vec RoundNearest(Vec v) {
   return _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
@@ -232,6 +239,14 @@ static inline Vec MulAdd(Vec a, Vec b, Vec c) {
   return vmlaq_f32(c, a, b);
 #endif
 }
+static inline float MulAddScalar(float a, float b, float c) {
+#if defined(__aarch64__)
+  return std::fma(a, b, c);
+#else
+  return vgetq_lane_f32(
+      vmlaq_f32(vdupq_n_f32(c), vdupq_n_f32(a), vdupq_n_f32(b)), 0);
+#endif
+}
 static inline float ReduceAdd(Vec v) {
 #if defined(__aarch64__)
   return vaddvq_f32(v);
@@ -259,7 +274,14 @@ static inline Vec Min(Vec a, Vec b) { return a < b ? a : b; }
 static inline Vec Max(Vec a, Vec b) { return a > b ? a : b; }
 static inline Vec Div(Vec a, Vec b) { return a / b; }
 static inline Vec Sqrt(Vec v) { return std::sqrt(v); }
-static inline Vec MulAdd(Vec a, Vec b, Vec c) { return a * b + c; }
+static inline float MulAddScalar(float a, float b, float c) {
+#if defined(__FP_FAST_FMAF)
+  return std::fma(a, b, c);
+#else
+  return a * b + c;  // no FMA instruction to contract into
+#endif
+}
+static inline Vec MulAdd(Vec a, Vec b, Vec c) { return MulAddScalar(a, b, c); }
 static inline Vec RoundNearest(Vec v) {
   // Magic-number round-to-nearest (ties to even), valid for |v| < 2^23 —
   // same trick as the ARMv7 NEON path so every ISA rounds identically.
@@ -275,6 +297,13 @@ static inline float ReduceAdd(Vec v) { return v; }
 static inline float ReduceMax(Vec v) { return v; }
 
 #endif
+
+// MulAddScalar is MulAdd on one float, fused exactly when MulAdd is and
+// spelled as an explicit call. Scalar tails written as `o += a * b` get
+// whatever the compiler decides per site: unfused at -O0, contracted
+// into an FMA at -O2, and split again when it vectorizes a sum as an
+// ordered reduction. Kernels whose tails must match their vector
+// region, or another kernel, use MulAddScalar.
 
 /// Per-lane e^x with ~1-ulp relative accuracy (well inside the 1e-6
 /// bound nn_test pins): Cody-Waite range reduction x = n·ln2 + r with

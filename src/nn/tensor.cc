@@ -23,6 +23,13 @@ namespace {
 // row chunking — which is what lets the batched estimation path promise
 // batch == per-query equality (tests/batch_test.cc) while the kernels
 // vectorize 8-wide under AVX2.
+//
+// Width-1 products (a regression head: n == 1, or k == 1 for its input
+// gradient) skip the tiling and vectorize across rows or output elements
+// instead. Every element still sums the same terms in the same order,
+// one MulAdd each as in a tail column, and they add exact zeros the
+// general kernels skip, which changes no bits. tests/nn_test.cc pins them
+// against the general kernels.
 
 // Rows of A processed together by the blocked kernels: each pass over a
 // B-row serves kRowBlock output rows, cutting memory traffic on the
@@ -55,11 +62,13 @@ double SampleDensity(const Matrix& m) {
   return static_cast<double>(nonzero) / static_cast<double>(samples);
 }
 
-// Scalar tail of an axpy: o[j] += a * b[j] over [begin, end). Shared by
-// the sparse and dense kernels so tail columns see one op sequence.
+// Scalar tail of an axpy: o[j] += a * b[j] over [begin, end), one
+// MulAdd each. Shared by the sparse and dense kernels so tail columns see
+// one op sequence.
 inline void AxpyTail(float a, const float* b, float* o, size_t begin,
                      size_t end) {
-  for (size_t j = begin; j < end; ++j) o[j] += a * b[j];
+  for (size_t j = begin; j < end; ++j)
+    o[j] = simd::MulAddScalar(a, b[j], o[j]);
 }
 
 // o[0..n) += a * b[0..n), vector region + scalar tail. The vector region
@@ -280,6 +289,80 @@ void MatMulTransBRows(const Matrix& a, const Matrix& b, Matrix* out,
   }
 }
 
+// out rows [row_begin, row_end) of a * b for a (k x 1) b. kLanes rows at
+// a time run as one vector of row sums: each row sums its terms in
+// ascending l with one MulAdd per term, as the general kernels' tail does
+// (the exact zeros they skip add nothing). A column chunk of those rows
+// is first transposed so each step is one vector load. Leftover rows take
+// the general kernel.
+void MatVecRows(const Matrix& a, const Matrix& b, Matrix* out,
+                size_t row_begin, size_t row_end) {
+  constexpr size_t kChunk = 64;
+  const size_t k = a.cols();
+  const float* w = b.data();
+  size_t i = row_begin;
+  for (; i + simd::kLanes <= row_end; i += simd::kLanes) {
+    // Left uninitialized: zeroing it would cost more than the block's
+    // arithmetic, and every element read below is written first.
+    alignas(64) float columns[kChunk * simd::kLanes];
+    simd::Vec acc = simd::Zero();
+    for (size_t l0 = 0; l0 < k; l0 += kChunk) {
+      const size_t len = std::min(kChunk, k - l0);
+      for (size_t r = 0; r < simd::kLanes; ++r) {
+        const float* arow = a.row(i + r) + l0;
+        for (size_t l = 0; l < len; ++l)
+          columns[l * simd::kLanes + r] = arow[l];
+      }
+      for (size_t l = 0; l < len; ++l)
+        acc = simd::MulAdd(simd::Load(columns + l * simd::kLanes),
+                           simd::Broadcast(w[l0 + l]), acc);
+    }
+    alignas(64) float sums[simd::kLanes];
+    simd::Store(sums, acc);
+    for (size_t r = 0; r < simd::kLanes; ++r) out->row(i + r)[0] = sums[r];
+  }
+  MatMulRowsSparse(a, b, out, i, row_end);
+}
+
+// out (m x 1) += aᵀ * b for a (k x 1) b, in MatMulTransAAccum's order:
+// ascending l per output element, one MulAdd per term (the exact zeros of
+// a it skips add nothing).
+void MatVecTransAAccum(const Matrix& a, const Matrix& b, Matrix* out) {
+  const size_t m = a.cols();
+  const size_t mv = m - m % simd::kLanes;
+  float* o = out->data();
+  for (size_t l = 0; l < a.rows(); ++l) {
+    const float* arow = a.row(l);
+    const float bl = b.row(l)[0];
+    const simd::Vec bv = simd::Broadcast(bl);
+    size_t i = 0;
+    for (; i < mv; i += simd::kLanes)
+      simd::Store(o + i, simd::MulAdd(simd::Load(arow + i), bv,
+                                      simd::Load(o + i)));
+    AxpyTail(bl, arow, o, mv, m);
+  }
+}
+
+// out rows [row_begin, row_end) of a * bᵀ for one-column a and b: every
+// element is DotRow of length 1, i.e. a·b added to +0, which is exactly
+// MulAdd(a, b, 0) lane by lane.
+void OuterRows(const Matrix& a, const Matrix& b, Matrix* out,
+               size_t row_begin, size_t row_end) {
+  const size_t n = b.rows();
+  const size_t nv = n - n % simd::kLanes;
+  const float* w = b.data();
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const float* arow = a.row(i);
+    const simd::Vec av = simd::Broadcast(arow[0]);
+    float* orow = out->row(i);
+    size_t j = 0;
+    for (; j < nv; j += simd::kLanes)
+      simd::Store(orow + j,
+                  simd::MulAdd(av, simd::Load(w + j), simd::Zero()));
+    for (; j < n; ++j) orow[j] = DotRow(arow, w + j, 1);
+  }
+}
+
 // Splits the row range over the global pool when the product is big
 // enough; output rows are disjoint per chunk, so the parallel result is
 // identical to the serial one.
@@ -353,9 +436,31 @@ void MatMulSparseUnit(const SparseRows& a, const Matrix& b, Matrix* out) {
   }
 }
 
+void MatMulSparseUnitTransAAccum(const SparseRows& a, const Matrix& b,
+                                 Matrix* out) {
+  LMKG_CHECK_EQ(a.rows(), b.rows());
+  LMKG_CHECK_EQ(out->rows(), a.cols);
+  LMKG_CHECK_EQ(out->cols(), b.cols());
+  const size_t n = b.cols();
+  // Row l of b lands on the output rows of row l's columns; walking l in
+  // ascending order gives every output element MatMulTransAAccum's
+  // sequence minus its skipped zero terms.
+  for (size_t l = 0; l < a.rows(); ++l) {
+    const float* brow = b.row(l);
+    for (size_t t = a.row_begin[l]; t < a.row_begin[l + 1]; ++t)
+      AxpyRow(1.0f, brow, out->row(a.col[t]), n);
+  }
+}
+
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   LMKG_CHECK_EQ(a.cols(), b.rows());
   out->ResizeZeroed(a.rows(), b.cols());
+  if (b.cols() == 1) {
+    DispatchRows(a.rows(), a.cols(), [&](size_t begin, size_t end) {
+      MatVecRows(a, b, out, begin, end);
+    });
+    return;
+  }
   // Sparse left operands (one-hot/binary query encodings, post-ReLU
   // activations) skip whole columns per row; dense ones amortize B-row
   // loads over a register block. Both kernels produce bit-identical rows.
@@ -380,6 +485,10 @@ void MatMulTransAAccum(const Matrix& a, const Matrix& b, Matrix* out) {
   LMKG_CHECK_EQ(a.rows(), b.rows());
   LMKG_CHECK_EQ(out->rows(), a.cols());
   LMKG_CHECK_EQ(out->cols(), b.cols());
+  if (b.cols() == 1) {
+    MatVecTransAAccum(a, b, out);
+    return;
+  }
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
   // Tile the output rows so the out block stays cache-resident across the
   // whole l sweep (out rows are revisited k times).
@@ -404,7 +513,11 @@ void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   out->Resize(a.rows(), b.rows());
   DispatchRows(a.rows(), a.cols() * b.rows(),
                [&](size_t begin, size_t end) {
-                 MatMulTransBRows(a, b, out, begin, end);
+                 if (a.cols() == 1) {
+                   OuterRows(a, b, out, begin, end);
+                 } else {
+                   MatMulTransBRows(a, b, out, begin, end);
+                 }
                });
 }
 

@@ -168,6 +168,13 @@ struct SparseRows {
 /// SparseRows).
 void MatMulSparseUnit(const SparseRows& a, const Matrix& b, Matrix* out);
 
+/// out += aᵀ * b with a given as unit-valued sparse rows (out must
+/// already have shape a.cols x b.cols()) — the weight gradient of a layer
+/// fed sparse input. Bit-identical to MatMulTransAAccum of the equivalent
+/// dense matrix: the same ascending-row adds, without the zero terms.
+void MatMulSparseUnitTransAAccum(const SparseRows& a, const Matrix& b,
+                                 Matrix* out);
+
 /// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). out is resized.
 ///
 /// The kernel is row-blocked, explicitly vectorized through nn/simd.h

@@ -1,11 +1,9 @@
 #include "sampling/composite.h"
 
 #include <algorithm>
-#include <set>
-#include <string>
 
+#include "sampling/labeling.h"
 #include "util/check.h"
-#include "util/math.h"
 
 namespace lmkg::sampling {
 
@@ -169,58 +167,26 @@ std::vector<LabeledQuery> CompositeWorkloadGenerator::Generate(
   util::Pcg32 rng(options.seed, /*stream=*/0xc0517);
   CompositeSampler sampler(graph_);
 
-  const int nbuckets = options.max_bucket + 1;
-  std::vector<size_t> bucket_counts(nbuckets, 0);
-  const size_t per_bucket =
-      options.bucket_balanced
-          ? std::max<size_t>(1, options.count / nbuckets)
-          : options.count;
-
-  std::vector<LabeledQuery> out;
-  std::set<std::string> seen;
-  size_t attempts = 0;
-  const size_t max_attempts =
-      options.count * std::max<size_t>(options.max_attempts_factor, 1);
-  for (int pass = 0; pass < 2 && out.size() < options.count; ++pass) {
-    bool balanced = options.bucket_balanced && pass == 0;
-    while (out.size() < options.count && attempts++ < max_attempts) {
-      std::optional<BoundTree> tree =
-          options.shape == Options::Shape::kTree
-              ? sampler.SampleTree(size, rng)
-              : sampler.SampleStarChain(options.star_size,
-                                        options.chain_size, rng);
-      if (!tree.has_value()) continue;
-      Query q = Unbind(*tree, options, rng);
-      if (q.num_vars < options.min_unbound) continue;
-      // Keep the workload genuinely composite: unbinding can degrade a
-      // tree into a pure star or chain, which the pattern-bound models
-      // already cover.
-      if (query::ClassifyDetailedTopology(q) !=
-          query::DetailedTopology::kTree)
-        continue;
-
-      std::string key = query::QueryToString(q);
-      if (seen.count(key) > 0) continue;
-
-      uint64_t card = executor_.Count(q, options.max_cardinality + 1);
-      if (card == 0 || card > options.max_cardinality) continue;
-      int bucket =
-          std::min(util::ResultSizeBucket(static_cast<double>(card)),
-                   options.max_bucket);
-      if (balanced && bucket_counts[bucket] >= per_bucket) continue;
-
-      seen.insert(std::move(key));
-      ++bucket_counts[bucket];
-      LabeledQuery labeled;
-      labeled.query = std::move(q);
-      labeled.cardinality = static_cast<double>(card);
-      labeled.topology = query::Topology::kComposite;
-      labeled.size = size;
-      out.push_back(std::move(labeled));
-    }
-    attempts = 0;  // fresh budget for the fill pass
-  }
-  return out;
+  auto draw = [&](Query* q) {
+    std::optional<BoundTree> tree =
+        options.shape == Options::Shape::kTree
+            ? sampler.SampleTree(size, rng)
+            : sampler.SampleStarChain(options.star_size, options.chain_size,
+                                      rng);
+    if (!tree.has_value()) return false;
+    *q = Unbind(*tree, options, rng);
+    if (q->num_vars < options.min_unbound) return false;
+    // Keep the workload genuinely composite: unbinding can degrade a
+    // tree into a pure star or chain, which the pattern-bound models
+    // already cover.
+    return query::ClassifyDetailedTopology(*q) ==
+           query::DetailedTopology::kTree;
+  };
+  const LabelingPolicy policy{options.count, options.max_cardinality,
+                              options.bucket_balanced, options.max_bucket,
+                              options.max_attempts_factor};
+  return LabelCandidates(executor_, policy, draw,
+                         query::Topology::kComposite, size);
 }
 
 }  // namespace lmkg::sampling

@@ -60,9 +60,11 @@ class CompositeSampler {
 
 /// Workload generation for composite query shapes — the missing
 /// "proof of concept ... left for our future work" of the paper's
-/// SG-Encoding section. Mirrors WorkloadGenerator's protocol: sample a
-/// bound pattern, unbind a random subset of nodes, label with the exact
-/// executor, balance across log₅ result-size buckets, deduplicate.
+/// SG-Encoding section. Mirrors WorkloadGenerator's protocol, through the
+/// same labeling loop: sample a bound pattern, unbind a random subset of
+/// nodes, label with the exact executor (counting on the global pool, with
+/// WorkloadGenerator's threading contract), balance across log₅
+/// result-size buckets, deduplicate.
 class CompositeWorkloadGenerator {
  public:
   struct Options {

@@ -31,6 +31,14 @@ struct LabeledQuery {
 /// Queries are produced by sampling a fully bound pattern from the graph
 /// (so the cardinality is at least 1) and then replacing a random subset of
 /// its terms with variables; the exact executor labels the result.
+///
+/// Candidates are drawn serially, in rounds, and each round's exact counts
+/// run on util::ThreadPool::Global(). Acceptance follows draw order, so the
+/// output is independent of the pool's lane count (LMKG_THREADS=1 gives the
+/// same queries and labels). Generate submits to that pool: never call it
+/// from inside a ParallelFor body of the global pool, where the nested
+/// submission deadlocks. Other threads may submit concurrently; the pool
+/// runs one job at a time.
 class WorkloadGenerator {
  public:
   struct Options {
@@ -67,7 +75,8 @@ class WorkloadGenerator {
   explicit WorkloadGenerator(const rdf::Graph& graph);
 
   /// Generates up to options.count labeled queries (fewer only if the
-  /// attempt budget runs out, e.g. on tiny graphs). Deterministic in seed.
+  /// attempt budget runs out, e.g. on tiny graphs). Deterministic in seed,
+  /// whatever the pool size (see the class comment).
   std::vector<LabeledQuery> Generate(const Options& options) const;
 
  private:

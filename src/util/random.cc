@@ -13,21 +13,9 @@ Pcg32::Pcg32(uint64_t seed, uint64_t stream) {
   Next();
 }
 
-uint32_t Pcg32::Next() {
-  uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
-  uint32_t xorshifted = static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
-  uint32_t rot = static_cast<uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
-}
-
-uint64_t Pcg32::Next64() {
-  return (static_cast<uint64_t>(Next()) << 32) | Next();
-}
-
 double Pcg32::NextDouble() {
   // 53 random mantissa bits.
-  return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
+  return static_cast<double>(Next53()) * 0x1.0p-53;
 }
 
 uint32_t Pcg32::UniformInt(uint32_t bound) {
@@ -74,6 +62,15 @@ double Pcg32::NextGaussian() {
 }
 
 bool Pcg32::Bernoulli(double p) { return NextDouble() < p; }
+
+uint64_t Pcg32::BernoulliThreshold(double p) {
+  // u * 2^-53 is exact for a 53-bit u, so NextDouble() < p holds exactly
+  // when the integer u is below the real p * 2^53 (also exact: a power-of-
+  // two scale), i.e. below its ceiling.
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return uint64_t{1} << 53;
+  return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 ZipfDistribution::ZipfDistribution(size_t n, double s) {
   LMKG_CHECK_GT(n, 0u);

@@ -17,9 +17,22 @@ class Pcg32 {
                  uint64_t stream = 0xda3e39cb94b95bdbULL);
 
   /// Uniform 32 random bits.
-  uint32_t Next();
-  /// Uniform 64 random bits.
-  uint64_t Next64();
+  uint32_t Next() {
+    const uint64_t old = state_;
+    state_ = old * kMultiplier + inc_;
+    return Output(old);
+  }
+  /// Uniform 64 random bits: the outputs of two Next() calls, high word
+  /// first. The state advances both steps in one multiply-add by the
+  /// squared multiplier, so the dependency chain is half as long.
+  uint64_t Next64() {
+    const uint64_t s0 = state_;
+    const uint64_t s1 = s0 * kMultiplier + inc_;
+    state_ = s0 * (kMultiplier * kMultiplier) + inc_ * (kMultiplier + 1);
+    return (static_cast<uint64_t>(Output(s0)) << 32) | Output(s1);
+  }
+  /// Uniform 53 random bits — NextDouble() is exactly Next53() * 2^-53.
+  uint64_t Next53() { return Next64() >> 11; }
   /// Uniform double in [0, 1).
   double NextDouble();
   /// Uniform integer in [0, bound). Requires bound > 0.
@@ -32,6 +45,10 @@ class Pcg32 {
   double NextGaussian();
   /// True with probability p.
   bool Bernoulli(double p);
+  /// Integer form of Bernoulli(p) for hot loops: on the same stream,
+  /// `Next53() < BernoulliThreshold(p)` is true for exactly the draws on
+  /// which `Bernoulli(p)` is.
+  static uint64_t BernoulliThreshold(double p);
 
   /// Uniformly chosen element of a non-empty vector.
   template <typename T>
@@ -50,6 +67,16 @@ class Pcg32 {
   }
 
  private:
+  static constexpr uint64_t kMultiplier = 6364136223846793005ULL;
+
+  // The output permutation (XSH RR) of a pre-advance state.
+  static uint32_t Output(uint64_t state) {
+    const auto xorshifted =
+        static_cast<uint32_t>(((state >> 18u) ^ state) >> 27u);
+    const auto rot = static_cast<uint32_t>(state >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
+  }
+
   uint64_t state_;
   uint64_t inc_;
   bool has_gaussian_ = false;

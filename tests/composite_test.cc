@@ -151,6 +151,56 @@ TEST(CompositeTest, WorkloadQueriesAreDistinct) {
   EXPECT_EQ(keys.size(), workload.size());
 }
 
+// Pins Generate's output by digest for tree and star-chain shapes, with
+// and without a budget that runs out in pass 1 (so the fill pass runs)
+// and with every leaf unbound (so most candidates repeat an accepted
+// query). Digests recorded before the generator's dedupe stopped keying
+// on QueryToString and before it counted candidates in parallel.
+TEST(CompositeTest, GenerateOutputIsBitIdentical) {
+  using Shape = CompositeWorkloadGenerator::Options::Shape;
+  struct Case {
+    Shape shape;
+    int query_size;
+    int star_size;
+    int chain_size;
+    size_t count;
+    double unbind_leaf_prob;
+    size_t max_attempts_factor;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {Shape::kTree, 3, 0, 0, 40, 0.35, 60, 1, 0xcf238c946bebcc80ull},
+      {Shape::kTree, 5, 0, 0, 40, 0.35, 60, 2, 0x012fcbf8502624a5ull},
+      {Shape::kStarChain, 0, 2, 2, 30, 0.35, 60, 3, 0x6f95da4b4eada3d5ull},
+      {Shape::kStarChain, 0, 3, 1, 30, 0.35, 60, 4, 0x1c1ff536c22c03bdull},
+      {Shape::kTree, 3, 0, 0, 300, 0.35, 2, 5, 0x97c11e8da5ef3843ull},
+      {Shape::kTree, 4, 0, 0, 60, 1.0, 60, 6, 0x6f5f4207569d4938ull},
+  };
+  rdf::Graph graph = testing::MakeRandomGraph(80, 8, 1000, 23);
+  CompositeWorkloadGenerator generator(graph);
+  for (const Case& c : cases) {
+    CompositeWorkloadGenerator::Options options;
+    options.shape = c.shape;
+    if (c.shape == Shape::kTree) {
+      options.query_size = c.query_size;
+    } else {
+      options.star_size = c.star_size;
+      options.chain_size = c.chain_size;
+    }
+    options.count = c.count;
+    options.unbind_leaf_prob = c.unbind_leaf_prob;
+    options.max_attempts_factor = c.max_attempts_factor;
+    options.seed = c.seed;
+    auto workload = generator.Generate(options);
+    EXPECT_FALSE(workload.empty());
+    EXPECT_EQ(testing::WorkloadDigest(workload), c.digest)
+        << "seed " << c.seed << ": " << workload.size()
+        << " queries, digest 0x" << std::hex
+        << testing::WorkloadDigest(workload);
+  }
+}
+
 // Property sweep: every sampled star-chain compound of any split is
 // classified kTree and its bound form matches the graph exactly once.
 class StarChainSplitTest

@@ -167,6 +167,16 @@ TEST_F(LmkgSTest, EstimateBeforeTrainAborts) {
   EXPECT_DEATH(model.EstimateCardinality(q), "before Train");
 }
 
+// Train steps its batch start by batch_size; zero would never advance.
+TEST_F(LmkgSTest, ZeroBatchSizeAborts) {
+  LmkgSConfig config = SmallConfig();
+  config.batch_size = 0;
+  EXPECT_DEATH(LmkgS(encoding::MakeStarEncoder(
+                         graph_, 2, encoding::TermEncoding::kBinary),
+                     config),
+               "batch_size");
+}
+
 // --- LMKG-U ---------------------------------------------------------------------
 
 class LmkgUTest : public ::testing::Test {
@@ -187,6 +197,12 @@ class LmkgUTest : public ::testing::Test {
 
   rdf::Graph graph_;
 };
+
+TEST_F(LmkgUTest, ZeroBatchSizeAborts) {
+  LmkgUConfig config = SmallConfig();
+  config.batch_size = 0;
+  EXPECT_DEATH(LmkgU(graph_, Topology::kStar, 2, config), "batch_size");
+}
 
 TEST_F(LmkgUTest, PopulationMatchesSampler) {
   LmkgU model(graph_, Topology::kStar, 2, SmallConfig());

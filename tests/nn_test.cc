@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "nn/adam.h"
 #include "nn/gradcheck.h"
@@ -221,6 +222,34 @@ TEST(TensorPropertyTest, SimdKernelsMatchScalarAtLaneBoundaries) {
   }
 }
 
+// Unit-valued sparse rows and their dense 0/1 equivalent; `empty_every`
+// > 0 leaves every such row without a nonzero.
+void RandomUnitRows(size_t m, size_t k, double density, size_t empty_every,
+                    util::Pcg32& rng, Matrix* dense, SparseRows* sparse) {
+  *dense = Matrix(m, k);
+  sparse->Clear(k);
+  for (size_t i = 0; i < m; ++i) {
+    const bool empty = empty_every > 0 && i % empty_every == 0;
+    for (size_t l = 0; l < k; ++l) {
+      if (!empty && rng.NextDouble() < density) {
+        dense->at(i, l) = 1.0f;
+        sparse->col.push_back(static_cast<uint32_t>(l));
+      }
+    }
+    sparse->row_begin.push_back(sparse->col.size());
+  }
+}
+
+void ExpectBitEqual(const Matrix& expected, const Matrix& got,
+                    const std::string& what) {
+  ASSERT_EQ(expected.rows(), got.rows()) << what;
+  ASSERT_EQ(expected.cols(), got.cols()) << what;
+  EXPECT_EQ(std::memcmp(expected.data(), got.data(),
+                        expected.size() * sizeof(float)),
+            0)
+      << what;
+}
+
 // The unit-valued sparse input path (estimation hot path) must be
 // bit-identical to the dense product of the equivalent 0/1 matrix —
 // add(w, acc) == fma(1.0, w, acc) exactly, and the ascending column
@@ -229,18 +258,9 @@ TEST(TensorPropertyTest, MatMulSparseUnitBitEqualsDense) {
   util::Pcg32 rng(82);
   for (size_t n : {1u, 17u, 64u, 128u, 130u}) {
     const size_t m = 9, k = 75;
-    Matrix dense(m, k);
+    Matrix dense;
     SparseRows sparse;
-    sparse.Clear(k);
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t l = 0; l < k; ++l) {
-        if (rng.NextDouble() < 0.12) {
-          dense.at(i, l) = 1.0f;
-          sparse.col.push_back(static_cast<uint32_t>(l));
-        }
-      }
-      sparse.row_begin.push_back(sparse.col.size());
-    }
+    RandomUnitRows(m, k, 0.12, 0, rng, &dense, &sparse);
     Matrix b = RandomMatrix(k, n, 0.0, rng);
     Matrix expected, got;
     MatMul(dense, b, &expected);
@@ -249,6 +269,102 @@ TEST(TensorPropertyTest, MatMulSparseUnitBitEqualsDense) {
     ASSERT_EQ(got.cols(), n);
     for (size_t i = 0; i < expected.size(); ++i)
       ASSERT_EQ(expected.data()[i], got.data()[i]) << "n=" << n;
+  }
+}
+
+// The first-layer weight gradient from sparse rows equals the dense
+// inᵀ·dout accumulation bit for bit: a full 64-row batch with empty rows,
+// an all-zero batch, and the 32-row tail batch of 800 examples.
+TEST(TensorPropertyTest, MatMulSparseUnitTransAAccumBitEqualsDense) {
+  util::Pcg32 rng(84);
+  struct Case {
+    size_t rows;
+    double density;
+    size_t empty_every;
+  };
+  for (const Case c : {Case{64, 0.03, 5}, Case{64, 0.0, 0},
+                       Case{32, 0.03, 0}, Case{7, 0.3, 3}}) {
+    for (size_t n : {1u, 17u, 128u}) {
+      const size_t k = 846;
+      Matrix dense;
+      SparseRows sparse;
+      RandomUnitRows(c.rows, k, c.density, c.empty_every, rng, &dense,
+                     &sparse);
+      const Matrix dout = RandomMatrix(c.rows, n, 0.3, rng);
+      // Accumulate onto a non-zero gradient, twice, as a training step
+      // after a previous one would.
+      Matrix expected = RandomMatrix(k, n, 0.9, rng);
+      Matrix got = expected;
+      for (int rep = 0; rep < 2; ++rep) {
+        MatMulTransAAccum(dense, dout, &expected);
+        MatMulSparseUnitTransAAccum(sparse, dout, &got);
+      }
+      ExpectBitEqual(expected, got,
+                     "rows=" + std::to_string(c.rows) +
+                         " n=" + std::to_string(n));
+    }
+  }
+}
+
+// The output layer's width-1 products (forward a·w, weight gradient
+// aᵀ·d, input gradient d·wᵀ) equal the general tiled kernels, which a
+// second all-zero column routes them through.
+TEST(TensorPropertyTest, WidthOneKernelsBitEqualGeneralKernels) {
+  util::Pcg32 rng(85);
+  auto pad = [](const Matrix& v) {
+    Matrix padded(v.rows(), 2);
+    for (size_t i = 0; i < v.rows(); ++i) padded.at(i, 0) = v.at(i, 0);
+    return padded;
+  };
+  auto column0 = [](const Matrix& m) {
+    Matrix col(m.rows(), 1);
+    for (size_t i = 0; i < m.rows(); ++i) col.at(i, 0) = m.at(i, 0);
+    return col;
+  };
+  for (size_t m : {1u, 32u, 37u, 64u}) {
+    for (size_t k : {1u, 16u, 128u, 130u}) {
+      const std::string what =
+          "m=" + std::to_string(m) + " k=" + std::to_string(k);
+      const Matrix a = RandomMatrix(m, k, 0.5, rng);  // post-ReLU zeros
+      const Matrix w = RandomMatrix(k, 1, 0.0, rng);
+      const Matrix d = RandomMatrix(m, 1, 0.1, rng);
+
+      Matrix general, width_one;
+      MatMul(a, pad(w), &general);
+      MatMul(a, w, &width_one);
+      ExpectBitEqual(column0(general), width_one, "forward " + what);
+
+      Matrix dw_general = RandomMatrix(k, 2, 0.5, rng);
+      Matrix dw = column0(dw_general);
+      MatMulTransAAccum(a, pad(d), &dw_general);
+      MatMulTransAAccum(a, d, &dw);
+      ExpectBitEqual(column0(dw_general), dw, "weight grad " + what);
+
+      MatMulTransB(pad(d), pad(w), &general);
+      MatMulTransB(d, w, &width_one);
+      ExpectBitEqual(general, width_one, "input grad " + what);
+    }
+  }
+}
+
+// Dropout's integer threshold on the 53-bit draw decides exactly as
+// NextDouble() < p on the same stream: over a million draws, and at the
+// threshold itself, where an off-by-one would hide from random draws.
+TEST(LayerTest, DropoutThresholdMatchesNextDouble) {
+  for (double p : {0.0, 0.1, 0.5, 0.999}) {
+    util::Pcg32 a(86, 3), b(86, 3);
+    const uint64_t threshold = util::Pcg32::BernoulliThreshold(p);
+    if (threshold > 0) {
+      EXPECT_LT(static_cast<double>(threshold - 1) * 0x1.0p-53, p);
+    }
+    EXPECT_GE(static_cast<double>(threshold) * 0x1.0p-53, p);
+    size_t hits = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      const bool drop = a.Next53() < threshold;
+      ASSERT_EQ(drop, b.NextDouble() < p) << "p=" << p << " draw " << i;
+      hits += drop ? 1 : 0;
+    }
+    EXPECT_NEAR(static_cast<double>(hits) / 1e6, p, 0.005) << "p=" << p;
   }
 }
 
@@ -262,18 +378,9 @@ TEST(LayerTest, SequentialForwardSparseInputBitEqualsDense) {
   net.Add(std::make_unique<Sigmoid>());
 
   const size_t batch = 13;
-  Matrix dense(batch, 50);
+  Matrix dense;
   SparseRows sparse;
-  sparse.Clear(50);
-  for (size_t i = 0; i < batch; ++i) {
-    for (size_t l = 0; l < 50; ++l) {
-      if (rng.NextDouble() < 0.15) {
-        dense.at(i, l) = 1.0f;
-        sparse.col.push_back(static_cast<uint32_t>(l));
-      }
-    }
-    sparse.row_begin.push_back(sparse.col.size());
-  }
+  RandomUnitRows(batch, 50, 0.15, 0, rng, &dense, &sparse);
   Matrix expected = net.Forward(dense, /*training=*/false);  // copy
   const Matrix& got = net.ForwardSparseInput(sparse);
   ASSERT_EQ(got.rows(), batch);
@@ -662,6 +769,53 @@ TEST(SequentialTest, ParamGradientsIgnoreInputGradBuffer) {
           << "param " << i << " step " << step;
     }
   }
+}
+
+// N training steps that feed the first layer sparse rows leave every
+// parameter bit-equal to N steps on the dense 0/1 batches.
+TEST(SequentialTest, SparseInputTrainingMatchesDense) {
+  auto make = [] {
+    util::Pcg32 rng(14);
+    auto net = std::make_unique<Sequential>();
+    net->Add(std::make_unique<Dense>(90, 32, rng));
+    net->Add(std::make_unique<Relu>());
+    net->Add(std::make_unique<Dropout>(0.1, 2));
+    net->Add(std::make_unique<Dense>(32, 32, rng));
+    net->Add(std::make_unique<Relu>());
+    net->Add(std::make_unique<Dropout>(0.1, 3));
+    net->Add(std::make_unique<Dense>(32, 1, rng));
+    net->Add(std::make_unique<Sigmoid>());
+    return net;
+  };
+  auto dense_net = make(), sparse_net = make();
+  Adam dense_opt(dense_net->Params(), 1e-2f);
+  Adam sparse_opt(sparse_net->Params(), 1e-2f);
+  util::Pcg32 rng(15);
+  Matrix dense, dpred;
+  SparseRows sparse;
+  for (int step = 0; step < 20; ++step) {
+    const size_t batch = step % 4 == 3 ? 5 : 16;  // with tail batches
+    RandomUnitRows(batch, 90, 0.08, 4, rng, &dense, &sparse);
+    std::vector<float> y(batch);
+    for (float& v : y) v = static_cast<float>(rng.NextDouble());
+
+    QErrorLoss(dense_net->Forward(dense, true), y, 4.0, &dpred);
+    dense_net->ZeroGrad();
+    dense_net->Backward(dpred);
+    ClipGradientNorm(dense_net->Params(), 1.0);
+    dense_opt.Step();
+
+    QErrorLoss(sparse_net->ForwardSparseInput(sparse, true), y, 4.0,
+               &dpred);
+    sparse_net->ZeroGrad();
+    sparse_net->Backward(dpred);
+    ClipGradientNorm(sparse_net->Params(), 1.0);
+    sparse_opt.Step();
+  }
+  auto a = dense_net->Params(), b = sparse_net->Params();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i)
+    ExpectBitEqual(*a[i].value, *b[i].value, "param " + std::to_string(i));
 }
 
 TEST(SequentialTest, ParamAccounting) {

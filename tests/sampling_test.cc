@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "query/executor.h"
 #include "sampling/bound_pattern.h"
@@ -11,10 +15,12 @@
 #include "sampling/workload.h"
 #include "test_util.h"
 #include "util/math.h"
+#include "util/thread_pool.h"
 
 namespace lmkg::sampling {
 namespace {
 
+using lmkg::testing::WorkloadDigest;
 using query::Topology;
 
 // --- term sequences ------------------------------------------------------------
@@ -299,22 +305,6 @@ TEST_F(WorkloadTest, BucketBalancedSpreadsResultSizes) {
   EXPECT_GE(buckets.size(), 2u);
 }
 
-// FNV-1a over every generated query's text and its label.
-uint64_t WorkloadDigest(const std::vector<LabeledQuery>& queries) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](const std::string& bytes) {
-    for (unsigned char c : bytes) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-  };
-  for (const auto& lq : queries) {
-    mix(query::QueryToString(lq.query));
-    mix(" " + std::to_string(static_cast<uint64_t>(lq.cardinality)) + "\n");
-  }
-  return h;
-}
-
 // Pins Generate's output — which queries are accepted, in which order,
 // with which labels — for fixed seeds. Every accept/reject decision
 // hangs on an exact (or limit-capped) count, so a counting change that
@@ -351,6 +341,88 @@ TEST(WorkloadLabelPinTest, GenerateOutputIsBitIdentical) {
         << c.seed << ": " << queries.size() << " queries, digest 0x"
         << std::hex << WorkloadDigest(queries);
   }
+}
+
+// Pins the cases where a batched labeling loop could drift from the
+// one-candidate-at-a-time reference: pass 1 reaching `count` part-way
+// through a batch of candidates; the attempt budget running out part-way
+// through a batch, so the fill pass continues the same RNG stream; and
+// batches full of repeated candidates (every object and join node
+// unbound leaves only predicate sequences). Digests recorded with the
+// serial loop.
+TEST(WorkloadLabelPinTest, RoundBoundariesAreBitIdentical) {
+  rdf::Graph graph = lmkg::testing::MakeRandomGraph(60, 4, 180, 21);
+  WorkloadGenerator generator(graph);
+  struct Case {
+    Topology topology;
+    int size;
+    size_t count;
+    size_t max_attempts_factor;
+    double unbind_object_prob;
+    bool bucket_balanced;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {Topology::kStar, 3, 150, 60, 0.35, true, 11, 0xb15fe12f364995e9ull},
+      {Topology::kChain, 2, 40, 10, 0.35, true, 12, 0x4be1b01f0077a701ull},
+      {Topology::kStar, 5, 30, 9, 0.35, true, 13, 0x96c867b9ceecac2dull},
+      {Topology::kChain, 2, 40, 60, 1.0, true, 14, 0x9551374f7a93bc0full},
+      {Topology::kChain, 4, 300, 60, 0.35, false, 15, 0x7c28cbfa8040ce39ull},
+  };
+  for (const Case& c : cases) {
+    WorkloadGenerator::Options options;
+    options.topology = c.topology;
+    options.query_size = c.size;
+    options.count = c.count;
+    options.max_attempts_factor = c.max_attempts_factor;
+    options.unbind_object_prob = c.unbind_object_prob;
+    options.bucket_balanced = c.bucket_balanced;
+    options.seed = c.seed;
+    auto queries = generator.Generate(options);
+    EXPECT_FALSE(queries.empty());
+    EXPECT_EQ(WorkloadDigest(queries), c.digest)
+        << query::TopologyName(c.topology) << "-" << c.size << " seed "
+        << c.seed << ": " << queries.size() << " queries, digest 0x"
+        << std::hex << WorkloadDigest(queries);
+  }
+}
+
+// Generate counts on the global pool; a second thread submitting its own
+// ParallelFor meanwhile is serialized with it, and both finish with the
+// results they would get alone.
+TEST(WorkloadLabelPinTest, ConcurrentParallelForDoesNotDisturbGenerate) {
+  rdf::Graph graph = lmkg::testing::MakeRandomGraph(60, 4, 180, 21);
+  WorkloadGenerator generator(graph);
+  WorkloadGenerator::Options options;
+  options.topology = Topology::kChain;
+  options.query_size = 8;
+  options.count = 40;
+  options.seed = 4;
+  std::atomic<bool> done{false};
+  size_t loops = 0;
+  bool sums_ok = true;
+  std::thread other([&] {
+    std::vector<uint64_t> values(1000);
+    do {
+      std::fill(values.begin(), values.end(), 0);
+      util::ThreadPool::Global().ParallelFor(
+          values.size(), 1, [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) values[i] = i;
+          });
+      uint64_t sum = 0;
+      for (uint64_t v : values) sum += v;
+      sums_ok = sums_ok && sum == 999 * 1000 / 2;
+      ++loops;
+    } while (!done.load());
+  });
+  auto queries = generator.Generate(options);
+  done.store(true);
+  other.join();
+  EXPECT_EQ(WorkloadDigest(queries), 0xc9dc4e4d6e204dacull)
+      << std::hex << WorkloadDigest(queries);
+  EXPECT_TRUE(sums_ok);
+  EXPECT_GT(loops, 0u);
 }
 
 // A pool where duplicates dominate: with every object unbound, star-2

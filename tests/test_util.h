@@ -1,11 +1,14 @@
 #ifndef LMKG_TESTS_TEST_UTIL_H_
 #define LMKG_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "query/query.h"
 #include "rdf/graph.h"
+#include "sampling/workload.h"
 #include "util/random.h"
 
 // --- allocation counting (opt-in) -------------------------------------------
@@ -96,6 +99,24 @@ inline uint64_t BruteForceCount(const rdf::Graph& graph,
   };
   recurse(0);
   return count;
+}
+
+/// FNV-1a over every generated query's text and its label: pins a
+/// generator's output (which queries, in which order, with which labels).
+inline uint64_t WorkloadDigest(
+    const std::vector<sampling::LabeledQuery>& queries) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const std::string& bytes) {
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& lq : queries) {
+    mix(query::QueryToString(lq.query));
+    mix(" " + std::to_string(static_cast<uint64_t>(lq.cardinality)) + "\n");
+  }
+  return h;
 }
 
 }  // namespace lmkg::testing
