@@ -9,6 +9,7 @@
 #include <map>
 #include <ostream>
 
+#include "core/grouped_waves.h"
 #include "encoding/query_encoder.h"
 #include "nn/serialize.h"
 #include "sampling/composite.h"
@@ -292,31 +293,14 @@ double AdaptiveLmkg::EstimateCardinality(const Query& q) {
 
 void AdaptiveLmkg::EstimateCardinalityBatch(
     std::span<const Query> queries, std::span<double> out) {
-  LMKG_CHECK_EQ(queries.size(), out.size());
-
-  std::vector<size_t> single_pattern_indices;
-  std::vector<std::pair<LmkgS*, std::vector<size_t>>> groups;
-  std::map<LmkgS*, size_t> group_of;
-  std::vector<size_t> fallback_indices;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
+  for (const Query& q : queries) {
     LMKG_CHECK(CanEstimate(q)) << query::QueryToString(q);
     monitor_.Observe(q);
-    if (q.patterns.size() == 1) {
-      single_pattern_indices.push_back(i);
-    } else if (LmkgS* model = SelectModel(q); model != nullptr) {
-      auto [it, inserted] = group_of.emplace(model, groups.size());
-      if (inserted) groups.emplace_back(model, std::vector<size_t>{});
-      groups[it->second].second.push_back(i);
-    } else {
-      fallback_indices.push_back(i);
-    }
   }
-
-  single_pattern_.EstimateIndexedBatch(queries, single_pattern_indices, out);
-  for (auto& [model, indices] : groups)
-    model->EstimateIndexedBatch(queries, indices, out);
-  for (size_t i : fallback_indices) out[i] = IndependenceFallback(queries[i]);
+  EstimateInWaves(
+      queries, out, single_pattern_,
+      [this](const Query& q) { return SelectModel(q); },
+      [this](const Query& q) { return IndependenceFallback(q); });
 }
 
 bool AdaptiveLmkg::CanEstimate(const Query& q) const {
@@ -458,48 +442,52 @@ size_t AdaptiveLmkg::MemoryBytes() const {
 namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x4c4d4b41;  // "LMKA"
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 // Upper bound on a plausible combo size in a snapshot: far above any
 // trainable query size, far below anything that could push a corrupt
-// value into encoder-width arithmetic (or a bad_alloc out of a function
-// spec'd to return a Status).
+// value into encoder-width arithmetic.
 constexpr uint32_t kMaxComboSize = 256;
 
 }  // namespace
 
+nn::SegmentArch SegmentArchOf(const AdaptiveLmkgConfig& config) {
+  return nn::SegmentArch{
+      static_cast<uint32_t>(config.term_encoding),
+      static_cast<uint32_t>(config.s_config.hidden_dim),
+      static_cast<uint32_t>(config.s_config.num_hidden_layers)};
+}
+
+nn::SegmentCombo SegmentComboOf(const AdaptiveLmkg::Combo& combo) {
+  return nn::SegmentCombo{static_cast<uint32_t>(combo.topology),
+                          static_cast<uint32_t>(combo.size)};
+}
+
 util::Status AdaptiveLmkg::Save(std::ostream& out) {
   // The snapshot must carry every served model, so pending mapped
   // combos are hydrated first (their borrowed weights serialize like
-  // any other — SaveParams reads through const access).
+  // any other, through const access).
   if (util::Status status = HydrateAllMapped(); !status.ok())
     return status;
-  nn::WriteU32(out, kSnapshotMagic);
-  nn::WriteU32(out, kSnapshotVersion);
-  // Config header: enough to reject a Load into a mismatched
-  // architecture before touching any tensor (the per-tensor shape checks
-  // in nn::LoadParams then catch anything subtler, e.g. a graph whose
-  // encoder widths differ).
-  nn::WriteU32(out, static_cast<uint32_t>(config_.term_encoding));
-  nn::WriteU32(out, static_cast<uint32_t>(config_.s_config.hidden_dim));
-  nn::WriteU32(out,
-               static_cast<uint32_t>(config_.s_config.num_hidden_layers));
-  nn::WriteU64(out, static_cast<uint64_t>(models_created_));
+  nn::WritePod(out, kSnapshotMagic);
+  nn::WritePod(out, kSnapshotVersion);
+  nn::WritePod(out, static_cast<uint64_t>(models_created_));
   const WorkloadMonitor::SavedState monitor = monitor_.SaveState();
-  nn::WriteU64(out, monitor.observations);
-  nn::WriteF64(out, monitor.total_weight);
-  nn::WriteU32(out, static_cast<uint32_t>(monitor.entries.size()));
+  nn::WritePod(out, monitor.observations);
+  nn::WritePod(out, monitor.total_weight);
+  nn::WritePod(out, static_cast<uint32_t>(monitor.entries.size()));
   for (const auto& e : monitor.entries) {
-    nn::WriteU32(out, static_cast<uint32_t>(e.combo.topology));
-    nn::WriteU32(out, static_cast<uint32_t>(e.combo.size));
-    nn::WriteF64(out, e.weight);
-    nn::WriteU64(out, e.stamp);
+    nn::WritePod(out, static_cast<uint32_t>(e.combo.topology));
+    nn::WritePod(out, static_cast<uint32_t>(e.combo.size));
+    nn::WritePod(out, e.weight);
+    nn::WritePod(out, e.stamp);
   }
-  nn::WriteU32(out, static_cast<uint32_t>(models_.size()));
+  nn::WritePod(out, static_cast<uint32_t>(models_.size()));
   for (auto& [combo, model] : models_) {
-    nn::WriteU32(out, static_cast<uint32_t>(combo.topology));
-    nn::WriteU32(out, static_cast<uint32_t>(combo.size));
-    util::Status status = model->Save(out);
-    if (!status.ok()) return status;
+    nn::Segment segment = model->ToSegment();
+    segment.arch = SegmentArchOf(config_);
+    segment.combo = SegmentComboOf(combo);
+    if (util::Status status = nn::WriteSegment(segment, out); !status.ok())
+      return status;
   }
   out.flush();
   if (!out) return util::Status::Error("adaptive: snapshot write failed");
@@ -508,44 +496,32 @@ util::Status AdaptiveLmkg::Save(std::ostream& out) {
 
 util::Status AdaptiveLmkg::Load(std::istream& in) {
   uint32_t magic = 0, version = 0;
-  if (!nn::ReadU32(in, &magic) || magic != kSnapshotMagic)
+  if (!nn::ReadPod(in, &magic) || magic != kSnapshotMagic)
     return util::Status::Error(
         "adaptive: bad magic (not an LMKG adaptive snapshot)");
-  if (!nn::ReadU32(in, &version) || version != kSnapshotVersion)
+  if (!nn::ReadPod(in, &version) || version != kSnapshotVersion)
     return util::Status::Error(util::StrFormat(
         "adaptive: unsupported snapshot version %u", version));
-  uint32_t term_encoding = 0, hidden_dim = 0, hidden_layers = 0;
-  if (!nn::ReadU32(in, &term_encoding) || !nn::ReadU32(in, &hidden_dim) ||
-      !nn::ReadU32(in, &hidden_layers))
-    return util::Status::Error("adaptive: truncated config header");
-  if (term_encoding != static_cast<uint32_t>(config_.term_encoding) ||
-      hidden_dim != static_cast<uint32_t>(config_.s_config.hidden_dim) ||
-      hidden_layers !=
-          static_cast<uint32_t>(config_.s_config.num_hidden_layers))
-    return util::Status::Error(util::StrFormat(
-        "adaptive: config mismatch (snapshot encoding=%u hidden=%u "
-        "layers=%u; model encoding=%u hidden=%zu layers=%d)",
-        term_encoding, hidden_dim, hidden_layers,
-        static_cast<uint32_t>(config_.term_encoding),
-        config_.s_config.hidden_dim, config_.s_config.num_hidden_layers));
   uint64_t created = 0;
-  if (!nn::ReadU64(in, &created))
+  if (!nn::ReadPod(in, &created))
     return util::Status::Error("adaptive: truncated header");
   WorkloadMonitor::SavedState monitor;
   uint32_t monitor_entries = 0;
-  if (!nn::ReadU64(in, &monitor.observations) ||
-      !nn::ReadF64(in, &monitor.total_weight) ||
-      !nn::ReadU32(in, &monitor_entries))
+  if (!nn::ReadPod(in, &monitor.observations) ||
+      !nn::ReadPod(in, &monitor.total_weight) ||
+      !nn::ReadPod(in, &monitor_entries))
     return util::Status::Error("adaptive: truncated monitor state");
   // A NaN/negative total slips past the monitor's `total_weight_ <= 0`
   // empty-state guards and would turn every share into NaN.
   if (!std::isfinite(monitor.total_weight) || monitor.total_weight < 0.0)
     return util::Status::Error("adaptive: corrupt monitor total weight");
-  monitor.entries.resize(monitor_entries);
-  for (auto& e : monitor.entries) {
+  // One entry at a time: a corrupt count runs into the end of the
+  // stream before it can size anything.
+  for (uint32_t i = 0; i < monitor_entries; ++i) {
     uint32_t topology = 0, size = 0;
-    if (!nn::ReadU32(in, &topology) || !nn::ReadU32(in, &size) ||
-        !nn::ReadF64(in, &e.weight) || !nn::ReadU64(in, &e.stamp))
+    WorkloadMonitor::SavedState::SavedEntry e;
+    if (!nn::ReadPod(in, &topology) || !nn::ReadPod(in, &size) ||
+        !nn::ReadPod(in, &e.weight) || !nn::ReadPod(in, &e.stamp))
       return util::Status::Error("adaptive: truncated monitor entry");
     if (topology > static_cast<uint32_t>(Topology::kComposite) ||
         size > kMaxComboSize)
@@ -556,29 +532,45 @@ util::Status AdaptiveLmkg::Load(std::istream& in) {
     if (e.stamp > monitor.observations || !std::isfinite(e.weight) ||
         e.weight < 0.0)
       return util::Status::Error("adaptive: corrupt monitor entry");
-    e.combo = Combo{static_cast<Topology>(topology),
-                    static_cast<int>(size)};
+    e.combo = Combo{static_cast<Topology>(topology), static_cast<int>(size)};
+    monitor.entries.push_back(e);
   }
   uint32_t num_models = 0;
-  if (!nn::ReadU32(in, &num_models))
+  if (!nn::ReadPod(in, &num_models))
     return util::Status::Error("adaptive: truncated model registry");
   // Rehydrate into a scratch registry first: a mid-stream failure must
   // leave the current serving state untouched.
+  const nn::SegmentArch arch = SegmentArchOf(config_);
   std::map<Combo, std::unique_ptr<LmkgS>> loaded;
+  std::vector<char> bytes;
   for (uint32_t i = 0; i < num_models; ++i) {
-    uint32_t topology = 0, size = 0;
-    if (!nn::ReadU32(in, &topology) || !nn::ReadU32(in, &size))
-      return util::Status::Error("adaptive: truncated model header");
-    if (topology > static_cast<uint32_t>(Topology::kComposite) ||
-        size < 2 || size > kMaxComboSize)
-      return util::Status::Error("adaptive: corrupt model combo");
-    Combo combo{static_cast<Topology>(topology), static_cast<int>(size)};
+    // Each segment names its combo and arch. A serve-only model over the
+    // combo's encoder gives the tensor shapes without allocating
+    // weights, so a corrupt combo fails against the tensor table before
+    // the trainable model is built.
+    Combo combo;
+    const auto shapes_for = [&](const nn::Segment& head)
+        -> util::Result<std::vector<nn::TensorShape>> {
+      if (!(head.arch == arch))
+        return util::Status::Error(
+            "adaptive: config mismatch (segment arch differs)");
+      if (head.combo.topology > static_cast<uint32_t>(Topology::kComposite) ||
+          head.combo.size < 2 || head.combo.size > kMaxComboSize)
+        return util::Status::Error("adaptive: corrupt model combo");
+      combo = Combo{static_cast<Topology>(head.combo.topology),
+                    static_cast<int>(head.combo.size)};
+      if (loaded.count(combo) > 0)
+        return util::Status::Error("adaptive: duplicate combo in snapshot");
+      return LmkgS::CreateMapped(MakeComboEncoder(combo), config_.s_config)
+          ->ExpectedParamShapes();
+    };
+    nn::Segment segment;
+    util::Status status = nn::ReadSegment(in, shapes_for, &bytes, &segment);
+    if (!status.ok()) return status;
     auto model =
         std::make_unique<LmkgS>(MakeComboEncoder(combo), config_.s_config);
-    util::Status status = model->Load(in);
-    if (!status.ok()) return status;
-    if (!loaded.emplace(combo, std::move(model)).second)
-      return util::Status::Error("adaptive: duplicate combo in snapshot");
+    if (status = model->LoadSegment(segment); !status.ok()) return status;
+    loaded.emplace(combo, std::move(model));
   }
   models_ = std::move(loaded);
   // A full snapshot replaces the registry wholesale; whatever mapped

@@ -18,6 +18,7 @@
 #include "core/single_pattern.h"
 #include "core/workload_monitor.h"
 #include "encoding/term_encoder.h"
+#include "nn/serialize.h"
 #include "rdf/graph.h"
 #include "sampling/blend.h"
 #include "sampling/workload.h"
@@ -57,6 +58,10 @@ struct AdaptiveLmkgConfig {
   sampling::BlendOptions feedback_blend;
 };
 
+/// The arch triple every segment of a replica with this config carries
+/// (in a snapshot and in a model store).
+nn::SegmentArch SegmentArchOf(const AdaptiveLmkgConfig& config);
+
 /// The model-lifecycle manager the paper sketches for the execution phase
 /// (§IV: "If a change in the workload of queries is detected during the
 /// execution phase, a new model may be created, or an existing model may
@@ -90,12 +95,12 @@ class AdaptiveLmkg : public CardinalityEstimator {
   AdaptiveLmkg(const rdf::Graph& graph, const AdaptiveLmkgConfig& config);
 
   double EstimateCardinality(const query::Query& q) override;
-  /// Observes every query in the monitor, then dispatches in grouped
-  /// waves exactly like core::Lmkg: size-1 to the exact estimator,
-  /// model-served queries per specialized model (one batched forward
-  /// each), the rest to the independence fallback. The model pool only
-  /// changes in Adapt(), so grouping cannot change which model serves a
-  /// query.
+  /// Observes every query in the monitor, then dispatches through the
+  /// grouped waves core::Lmkg shares (core/grouped_waves.h): size-1 to
+  /// the exact estimator, model-served queries per specialized model
+  /// (one batched forward each), the rest to the independence fallback.
+  /// The model pool only changes in Adapt(), so grouping cannot change
+  /// which model serves a query.
   void EstimateCardinalityBatch(std::span<const query::Query> queries,
                                 std::span<double> out) override;
   bool CanEstimate(const query::Query& q) const override;
@@ -140,15 +145,18 @@ class AdaptiveLmkg : public CardinalityEstimator {
   /// its own estimates; the shadow never sees those calls).
   void ObserveWorkload(const query::Query& q) { monitor_.Observe(q); }
 
-  /// Versioned snapshot of the whole replica state: a config header
-  /// (validated on Load), the workload monitor's decayed counts, and the
-  /// per-combo model registry — each model's label scaler + parameters
-  /// via the nn::SaveParams format. Load into an AdaptiveLmkg built over
+  /// Versioned snapshot of the whole replica state: a container header
+  /// with what a segment cannot carry (models_created_, the workload
+  /// monitor's decayed counts, the segment count), then one
+  /// nn/serialize.h segment per model, stamped with its combo and this
+  /// config's arch (SegmentArchOf). Load into an AdaptiveLmkg built over
   /// the same graph with the same config reproduces estimates
   /// bit-identically and resumes drift detection where the donor left
-  /// off; models present before Load are discarded. Construct the target
-  /// with `initial_combos` cleared to skip training throwaway models
-  /// (the snapshot carries the real ones). Later changes go via Install.
+  /// off; models present before Load are discarded. A failed Load (arch
+  /// mismatch, corrupt combo, shape or CRC mismatch, truncation) leaves
+  /// the replica as it was. Construct the target with `initial_combos`
+  /// cleared to skip training throwaway models (the snapshot carries the
+  /// real ones). Later changes go via Install.
   util::Status Save(std::ostream& out);
   util::Status Load(std::istream& in);
 
@@ -279,6 +287,9 @@ class AdaptiveLmkg : public CardinalityEstimator {
   std::map<Combo, std::vector<sampling::LabeledQuery>> pending_feedback_;
   size_t feedback_retrains_ = 0;  // seeds successive refresh workloads
 };
+
+/// A combo as the raw integers a segment carries.
+nn::SegmentCombo SegmentComboOf(const AdaptiveLmkg::Combo& combo);
 
 }  // namespace lmkg::core
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "core/grouped_waves.h"
 #include "query/executor.h"
 #include "sampling/composite.h"
 #include "util/check.h"
@@ -236,44 +237,17 @@ double Lmkg::EstimateCardinality(const Query& q) {
 
 void Lmkg::EstimateCardinalityBatch(std::span<const Query> queries,
                                     std::span<double> out) {
-  LMKG_CHECK_EQ(queries.size(), out.size());
   LMKG_CHECK(built_) << "EstimateCardinalityBatch before BuildModels";
-
-  // Partition the batch by dispatch target. Groups keep first-appearance
-  // order and their index lists keep input order.
-  std::vector<size_t> single_pattern_indices;
-  std::vector<std::pair<CardinalityEstimator*, std::vector<size_t>>> groups;
-  std::map<CardinalityEstimator*, size_t> group_of;
-  std::vector<size_t> decomposed_indices;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    if (q.patterns.size() == 1) {
-      single_pattern_indices.push_back(i);
-    } else if (CardinalityEstimator* model = SelectModel(q);
-               model != nullptr) {
-      auto [it, inserted] = group_of.emplace(model, groups.size());
-      if (inserted) groups.emplace_back(model, std::vector<size_t>{});
-      groups[it->second].second.push_back(i);
-    } else {
-      decomposed_indices.push_back(i);
-    }
-  }
-
   // LMKG-U models advance a sampling RNG per estimate; running the model
   // waves before the decompositions (whose sub-queries hit the same
   // models) would reorder the draws relative to the per-query path. The
   // strict loop keeps the estimate-equivalence contract for that case.
-  if (config_.kind == ModelKind::kUnsupervised &&
-      !decomposed_indices.empty()) {
+  if (!EstimateInWaves(
+          queries, out, single_pattern_,
+          [this](const Query& q) { return SelectModel(q); },
+          [this](const Query& q) { return EstimateByDecomposition(q); },
+          /*strict_on_fallback=*/config_.kind == ModelKind::kUnsupervised))
     CardinalityEstimator::EstimateCardinalityBatch(queries, out);
-    return;
-  }
-
-  single_pattern_.EstimateIndexedBatch(queries, single_pattern_indices, out);
-  for (auto& [model, indices] : groups)
-    model->EstimateIndexedBatch(queries, indices, out);
-  for (size_t i : decomposed_indices)
-    out[i] = EstimateByDecomposition(queries[i]);
 }
 
 bool Lmkg::CanEstimate(const Query& q) const { return !q.patterns.empty(); }
@@ -429,10 +403,11 @@ double Lmkg::EstimateByDecomposition(const Query& q) {
 
 namespace {
 
-// Framework persistence header: magic + layout-affecting config digest.
+// Framework persistence header: magic + layout-affecting config digest,
+// followed by one nn/serialize.h segment per model.
 struct SaveHeader {
   char magic[4] = {'L', 'M', 'K', 'G'};
-  uint32_t version = 1;
+  uint32_t version = 2;
   uint8_t kind = 0;
   uint8_t grouping = 0;
   uint16_t reserved = 0;
@@ -474,18 +449,17 @@ util::Status Lmkg::Load(std::istream& in) {
     return util::Status::Error(
         "lmkg: file was saved with a different kind/grouping");
 
-  // Reconstruct the exact model stack of BuildModels, loading weights
-  // instead of training. Any failure leaves the framework un-built.
+  // Reconstruct the exact model stack of BuildModels, then load each
+  // model's segment in place of training. Any failure leaves the
+  // framework un-built.
   std::vector<std::unique_ptr<CardinalityEstimator>> loaded;
   if (config_.kind == ModelKind::kUnsupervised) {
     for (Topology topology : {Topology::kStar, Topology::kChain}) {
       for (int size : config_.query_sizes) {
         LmkgUConfig ucfg = config_.u_config;
         ucfg.seed = config_.seed + loaded.size() * 977 + 13;
-        auto model = std::make_unique<LmkgU>(graph_, topology, size, ucfg);
-        util::Status status = model->Load(in);
-        if (!status.ok()) return status;
-        loaded.push_back(std::move(model));
+        loaded.push_back(
+            std::make_unique<LmkgU>(graph_, topology, size, ucfg));
       }
     }
   } else {
@@ -493,15 +467,19 @@ util::Status Lmkg::Load(std::istream& in) {
     for (size_t gi = 0; gi < groups.size(); ++gi) {
       LmkgSConfig scfg = config_.s_config;
       scfg.seed = config_.seed + gi * 31 + 7;
-      auto model =
-          std::make_unique<LmkgS>(std::move(groups[gi].encoder), scfg);
-      util::Status status = model->Load(in);
-      if (!status.ok()) return status;
-      loaded.push_back(std::move(model));
+      loaded.push_back(
+          std::make_unique<LmkgS>(std::move(groups[gi].encoder), scfg));
     }
   }
   if (header.model_count != loaded.size())
     return util::Status::Error("lmkg: model count mismatch");
+  for (auto& model : loaded) {
+    util::Status status =
+        config_.kind == ModelKind::kSupervised
+            ? static_cast<LmkgS*>(model.get())->Load(in)
+            : static_cast<LmkgU*>(model.get())->Load(in);
+    if (!status.ok()) return status;
+  }
   models_ = std::move(loaded);
   built_ = true;
   return util::Status::Ok();

@@ -101,11 +101,13 @@ class Lmkg : public CardinalityEstimator {
   std::string name() const override;
   size_t MemoryBytes() const override;
 
-  /// Persists every trained model behind a versioned header ("train once
-  /// in the creation phase, reuse across restarts"). The configuration is
-  /// not stored: Load requires an un-built Lmkg constructed over
-  /// the same graph with the same config, and fails with a Status error
-  /// on magic/version/shape mismatches or truncation.
+  /// Persists every trained model behind a versioned kind/grouping/count
+  /// header, one nn/serialize.h segment per model ("train once in the
+  /// creation phase, reuse across restarts"). The configuration is not
+  /// stored: Load requires an un-built Lmkg constructed over the same
+  /// graph with the same config, and fails with a Status error on
+  /// magic/version/shape/CRC mismatches or truncation, leaving the
+  /// framework un-built.
   util::Status Save(std::ostream& out);
   util::Status Load(std::istream& in);
 

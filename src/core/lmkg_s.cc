@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "nn/loss.h"
-#include "nn/serialize.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -59,12 +58,7 @@ void LmkgS::BuildNetwork() {
 
 std::vector<nn::ConstMatrixView> LmkgS::ParamViews() {
   LMKG_CHECK(trained_) << "LMKG-S ParamViews before weights exist";
-  std::vector<nn::ConstMatrixView> views;
-  for (const nn::ParamRef& p : net_.Params()) {
-    const nn::Matrix& m = *p.value;
-    views.push_back({m.data(), m.rows(), m.cols()});
-  }
-  return views;
+  return nn::ParamViews(net_.Params());
 }
 
 WeightViews LmkgS::CopyWeights() {
@@ -102,20 +96,9 @@ util::Status LmkgS::AttachWeights(
     std::span<const nn::ConstMatrixView> views, double log_min,
     double log_max, std::shared_ptr<const void> owner) {
   LMKG_CHECK(mapped_) << "AttachWeights on a trained LMKG-S";
-  const auto shapes = ExpectedParamShapes();
-  if (views.size() != shapes.size())
-    return util::Status::Error(util::StrFormat(
-        "lmkg-s attach: tensor count mismatch (segment %zu, model %zu)",
-        views.size(), shapes.size()));
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (views[i].rows != shapes[i].first ||
-        views[i].cols != shapes[i].second)
-      return util::Status::Error(util::StrFormat(
-          "lmkg-s attach: tensor %zu shape mismatch (segment %zux%zu, "
-          "model %zux%zu)",
-          i, views[i].rows, views[i].cols, shapes[i].first,
-          shapes[i].second));
-  }
+  if (util::Status status = nn::CheckShapes(views, ExpectedParamShapes());
+      !status.ok())
+    return status;
   auto params = net_.Params();
   LMKG_CHECK_EQ(params.size(), views.size());
   for (size_t i = 0; i < views.size(); ++i)
@@ -280,24 +263,39 @@ bool LmkgS::CanEstimate(const query::Query& q) const {
 
 std::string LmkgS::name() const { return "LMKG-S"; }
 
+nn::Segment LmkgS::ToSegment() {
+  nn::Segment segment;
+  segment.log_min = scaler_.log_min();
+  segment.log_max = scaler_.log_max();
+  segment.tensors = ParamViews();
+  return segment;
+}
+
+util::Status LmkgS::LoadSegment(const nn::Segment& segment) {
+  LMKG_CHECK(!mapped_)
+      << "LMKG-S Load on a mapped model (weights are read-only borrows)";
+  if (util::Status status = nn::CopySegment(segment, net_.Params());
+      !status.ok())
+    return status;
+  scaler_.Restore(segment.log_min, segment.log_max);
+  trained_ = true;
+  return util::Status::Ok();
+}
+
 util::Status LmkgS::Save(std::ostream& out) {
   LMKG_CHECK(trained_) << "LMKG-S Save before Train";
-  double header[2] = {scaler_.log_min(), scaler_.log_max()};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  return nn::SaveParams(net_.Params(), out);
+  return nn::WriteSegment(ToSegment(), out);
 }
 
 util::Status LmkgS::Load(std::istream& in) {
-  LMKG_CHECK(!mapped_)
-      << "LMKG-S Load on a mapped model (weights are read-only borrows)";
-  double header[2] = {0.0, 0.0};
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in) return util::Status::Error("lmkg-s: truncated scaler header");
-  util::Status status = nn::LoadParams(net_.Params(), in);
-  if (!status.ok()) return status;
-  scaler_.Restore(header[0], header[1]);
-  trained_ = true;
-  return util::Status::Ok();
+  std::vector<char> bytes;
+  nn::Segment segment;
+  if (util::Status status = nn::ReadSegment(
+          in, [this](const nn::Segment&) { return ExpectedParamShapes(); },
+          &bytes, &segment);
+      !status.ok())
+    return status;
+  return LoadSegment(segment);
 }
 
 size_t LmkgS::MemoryBytes() const {

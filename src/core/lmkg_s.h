@@ -13,6 +13,7 @@
 #include "encoding/query_encoder.h"
 #include "nn/adam.h"
 #include "nn/layer.h"
+#include "nn/serialize.h"
 #include "sampling/workload.h"
 #include "util/math.h"
 
@@ -92,16 +93,25 @@ class LmkgS : public CardinalityEstimator {
   std::string name() const override;
   size_t MemoryBytes() const override;
 
-  /// Persists the trained weights + label scaler ("train once in the
-  /// creation phase, reuse thereafter"). Load requires a model built with
-  /// the same encoder/config; every tensor shape is verified.
+  /// Persists the trained weights + label scaler as one nn/serialize.h
+  /// segment ("train once in the creation phase, reuse thereafter").
+  /// Load requires a trainable model built with the same encoder/config;
+  /// every tensor shape and the CRC are verified, and a failed Load
+  /// leaves the model as it was.
   util::Status Save(std::ostream& out);
   util::Status Load(std::istream& in);
 
-  /// Read-only views of the trained parameters in CollectParams order —
-  /// what store::ModelStore::WriteSegment serializes into a segment.
-  /// Valid only while the model (or, for mapped models, the underlying
-  /// mapping) is alive.
+  /// The trained parameters (views in CollectParams order) and label
+  /// scaler as a segment with zero arch and combo — what Save writes and
+  /// what containers and the model store stamp and write. Valid only
+  /// while the model (or, for mapped models, the underlying mapping) is
+  /// alive.
+  nn::Segment ToSegment();
+  /// Copies a parsed segment's tensors and scaler into this trainable
+  /// model; a shape mismatch changes nothing.
+  util::Status LoadSegment(const nn::Segment& segment);
+
+  /// Read-only views of the trained parameters in CollectParams order.
   std::vector<nn::ConstMatrixView> ParamViews();
 
   /// Copies the trained parameters into an immutable, reference-counted

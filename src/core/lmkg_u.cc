@@ -293,11 +293,15 @@ std::string LmkgU::name() const { return "LMKG-U"; }
 
 util::Status LmkgU::Save(std::ostream& out) {
   LMKG_CHECK(trained_) << "LMKG-U Save before Train";
-  return nn::SaveParams(model_->Params(), out);
+  nn::Segment segment;  // no label scaler: log_min = log_max = 0
+  segment.tensors = nn::ParamViews(model_->Params());
+  return nn::WriteSegment(segment, out);
 }
 
 util::Status LmkgU::Load(std::istream& in) {
-  util::Status status = nn::LoadParams(model_->Params(), in);
+  double log_min = 0.0, log_max = 0.0;
+  util::Status status =
+      nn::ReadParamSegment(in, model_->Params(), &log_min, &log_max);
   if (!status.ok()) return status;
   trained_ = true;
   return util::Status::Ok();

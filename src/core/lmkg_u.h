@@ -80,8 +80,9 @@ class LmkgU : public CardinalityEstimator {
   std::string name() const override;
   size_t MemoryBytes() const override;
 
-  /// Persists the trained density model. Load requires an instance built
-  /// over the same graph with the same (topology, k, config).
+  /// Persists the trained density model as one nn/serialize.h segment.
+  /// Load requires an instance built over the same graph with the same
+  /// (topology, k, config); a failed Load leaves it as it was.
   util::Status Save(std::ostream& out);
   util::Status Load(std::istream& in);
 

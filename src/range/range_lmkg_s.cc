@@ -121,18 +121,19 @@ bool RangeLmkgS::CanEstimate(const RangeQuery& q) const {
 
 util::Status RangeLmkgS::Save(std::ostream& out) {
   LMKG_CHECK(trained_) << "LMKG-S-R Save before Train";
-  double header[2] = {scaler_.log_min(), scaler_.log_max()};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  return nn::SaveParams(net_.Params(), out);
+  nn::Segment segment;
+  segment.log_min = scaler_.log_min();
+  segment.log_max = scaler_.log_max();
+  segment.tensors = nn::ParamViews(net_.Params());
+  return nn::WriteSegment(segment, out);
 }
 
 util::Status RangeLmkgS::Load(std::istream& in) {
-  double header[2] = {0.0, 0.0};
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in) return util::Status::Error("lmkg-s-r: truncated scaler header");
-  util::Status status = nn::LoadParams(net_.Params(), in);
+  double log_min = 0.0, log_max = 0.0;
+  util::Status status =
+      nn::ReadParamSegment(in, net_.Params(), &log_min, &log_max);
   if (!status.ok()) return status;
-  scaler_.Restore(header[0], header[1]);
+  scaler_.Restore(log_min, log_max);
   trained_ = true;
   return util::Status::Ok();
 }

@@ -45,8 +45,9 @@ class RangeLmkgS {
   std::string name() const { return "LMKG-S-R"; }
   size_t MemoryBytes() const;
 
-  /// Persists the trained weights + label scaler; Load requires an
-  /// instance built with the same encoder/config.
+  /// Persists the trained weights + label scaler as one nn/serialize.h
+  /// segment; Load requires an instance built with the same
+  /// encoder/config, and a failed Load leaves it as it was.
   util::Status Save(std::ostream& out);
   util::Status Load(std::istream& in);
 

@@ -156,16 +156,6 @@ std::vector<query::Query> EstimatorService::DrainWorkloadSamples() {
   return drained;
 }
 
-std::unique_ptr<core::CardinalityEstimator> EstimatorService::ReplaceReplica(
-    size_t index, std::unique_ptr<core::CardinalityEstimator> replacement) {
-  LMKG_CHECK_LT(index, shards_.size());
-  LMKG_CHECK(replacement != nullptr) << "replica swap needs a model";
-  Shard& shard = *shards_[index];
-  util::MutexLock lock(&shard.replica_mu);
-  shard.replica.swap(replacement);
-  return replacement;  // the previous model, for the caller to retire
-}
-
 void EstimatorService::WithReplica(
     size_t index,
     const std::function<void(core::CardinalityEstimator*)>& fn) {

@@ -120,15 +120,17 @@ struct ServiceConfig {
 /// AdvanceEpoch() atomically invalidates every estimate cached before a
 /// model mutation (hot-swap, adaptation, outlier-buffer insert, reload)
 /// without a stop-the-world flush — across every shard at once.
-/// ReplaceReplica swaps a shard's model under that shard's replica mutex
-/// — an in-flight batch finishes on whichever model it locked, and once
-/// the caller bumps the epoch, every cached lookup recomputes against
-/// the new generation (tests/model_lifecycle_test.cc pins zero stale
-/// values across a mid-stream swap). The swap protocol (replace EVERY
-/// shard's replica, THEN advance the epoch once) is what makes late
-/// stale inserts harmless: a request tags its insert with the epoch
-/// captured at submission, so a pre-swap computation landing after the
-/// bump is tagged old and never served.
+/// A shard's replica object is fixed at construction; models change
+/// inside it, through WithReplica under that shard's replica mutex (e.g.
+/// AdaptiveLmkg::Install). An in-flight batch finishes on whatever the
+/// replica held when it locked, and once the caller bumps the epoch,
+/// every cached lookup recomputes against the new generation
+/// (tests/model_lifecycle_test.cc pins zero stale values across a
+/// mid-stream swap). The swap protocol (mutate EVERY shard's replica,
+/// THEN advance the epoch once) is what makes late stale inserts
+/// harmless: a request tags its insert with the epoch captured at
+/// submission, so a pre-swap computation landing after the bump is
+/// tagged old and never served.
 ///
 /// Ownership: the service owns its replicas and must outlive every
 /// outstanding future. Destruction drains every shard's ring (all
@@ -183,8 +185,7 @@ class EstimatorService {
   void ResetStats();
 
   size_t num_shards() const { return shards_.size(); }
-  /// One replica per shard: the index range of ReplaceReplica and
-  /// WithReplica.
+  /// One replica per shard: the index range of WithReplica.
   size_t num_replicas() const { return shards_.size(); }
 
   /// Current model generation. Starts at 0; only AdvanceEpoch moves it.
@@ -193,29 +194,17 @@ class EstimatorService {
   /// Declares a new model generation: every result cached before this
   /// call stops hitting (evicted lazily on contact), on every shard.
   /// Call AFTER the model mutation is visible to workers — i.e. after
-  /// every ReplaceReplica of a swap, or after an external mutation of a
-  /// served model completed under its shard's replica mutex.
+  /// the mutation of every served replica completed under its shard's
+  /// replica mutex (WithReplica).
   void AdvanceEpoch() { epoch_.fetch_add(1, std::memory_order_release); }
 
-  /// Swaps shard `index`'s model for `replacement` under the shard's
-  /// replica mutex and returns the previous model. An in-flight batch
-  /// holding the mutex finishes on the old model first; the swap itself
-  /// is a pointer exchange, so serving never blocks on model preparation
-  /// (train and load off-path, then swap). Callers swap every shard,
-  /// then AdvanceEpoch() once.
-  std::unique_ptr<core::CardinalityEstimator> ReplaceReplica(
-      size_t index,
-      std::unique_ptr<core::CardinalityEstimator> replacement);
-
-  /// Runs `fn` on shard `index`'s LIVE replica under that shard's
-  /// replica mutex — the in-place alternative to ReplaceReplica for
-  /// incremental mutations (installing one combo's retrained weights
-  /// into an AdaptiveLmkg replica, inserting into an outlier buffer)
-  /// where shipping a whole fresh replica per shard would copy the
-  /// unchanged majority of the registry. The shard's worker and inline
-  /// callers block for the duration, so keep `fn` to installing state
-  /// prepared off-path (e.g. AdaptiveLmkg::Install). Same protocol as
-  /// ReplaceReplica: mutate every shard, then AdvanceEpoch() once.
+  /// Runs `fn` on shard `index`'s live replica under that shard's
+  /// replica mutex — the one way to change a served model (installing a
+  /// combo's new weights into an AdaptiveLmkg replica, inserting into an
+  /// outlier buffer). The shard's worker and inline callers block for
+  /// the duration, so keep `fn` to installing state prepared off-path
+  /// (e.g. AdaptiveLmkg::Install). Hot-swap protocol: mutate every
+  /// shard, then AdvanceEpoch() once.
   void WithReplica(size_t index,
                    const std::function<void(core::CardinalityEstimator*)>& fn);
 
@@ -253,9 +242,10 @@ class EstimatorService {
   /// locks, so the service-wide graph is this one, N times over, with no
   /// edges between copies):
   ///
-  ///   replica_mu   serializes batch/inline execution against hot swaps.
-  ///                Held across a model forward pass; NEVER nested with
-  ///                any other lock (Complete runs after it is released).
+  ///   replica_mu   serializes batch/inline execution against in-place
+  ///                replica mutations (WithReplica). Held across a model
+  ///                forward pass; NEVER nested with any other lock
+  ///                (Complete runs after it is released).
   ///   done_mu      completion handshake for blocking callers. Held only
   ///                for the empty pair-with-the-waiter critical section
   ///                and the waiter's predicate loop; never nested.
@@ -277,11 +267,11 @@ class EstimatorService {
           size_t tap_capacity);
 
     util::MpscRing<Request*> ring;
-    util::Mutex replica_mu;  // serializes batches against hot swaps
-    // Both the pointer (swapped by ReplaceReplica) and the pointee (the
-    // model's reused encode/forward scratch) are guarded.
-    std::unique_ptr<core::CardinalityEstimator> replica
-        LMKG_GUARDED_BY(replica_mu) LMKG_PT_GUARDED_BY(replica_mu);
+    util::Mutex replica_mu;  // serializes batches against mutations
+    // The pointer never changes after construction; the pointee (its
+    // models and reused encode/forward scratch) is guarded.
+    const std::unique_ptr<core::CardinalityEstimator> replica
+        LMKG_PT_GUARDED_BY(replica_mu);
     QueryCache cache;
     ServingStats stats;
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <sstream>
 #include <utility>
 
 #include "util/atomic_file.h"
@@ -18,51 +19,11 @@
 namespace lmkg::store {
 namespace {
 
-// Segment file ("LMSG" v1), all host-endian like every LMKG format:
-//   [0,80)                  fixed header (below)
-//   [80, 80+16*tc)          tensor table: {u32 rows, u32 cols, u64 off}
-//   [..., payload_offset)   zero pad to a 64-byte boundary
-//   [payload_offset, end)   64-byte-aligned float32 tensor payloads
-// payload_crc covers [80, end) — everything after the fixed header.
-constexpr uint32_t kSegmentMagic = 0x4c4d5347;  // "LMSG"
-constexpr uint32_t kSegmentVersion = 1;
-constexpr size_t kSegmentHeaderBytes = 80;
-constexpr size_t kTensorEntryBytes = 16;
-constexpr size_t kPayloadAlign = 64;
-// Far above any real model (a 3-layer LmkgS has 8 tensors), far below
-// anything that could overflow the offset arithmetic from a corrupt
-// count.
-constexpr uint32_t kMaxTensors = 4096;
-
 constexpr uint32_t kManifestMagic = 0x4c4d5354;  // "LMST"
 constexpr uint32_t kManifestVersion = 1;
 constexpr uint32_t kMaxManifestEntries = 1u << 20;
 constexpr uint32_t kMaxNameBytes = 4096;
 constexpr char kManifestFile[] = "MANIFEST.lmst";
-
-struct SegmentHeader {
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  uint32_t term_encoding = 0;
-  uint32_t hidden_dim = 0;
-  uint32_t num_hidden_layers = 0;
-  uint32_t topology = 0;
-  uint32_t combo_size = 0;
-  uint32_t tensor_count = 0;
-  uint64_t epoch = 0;
-  double log_min = 0.0;
-  double log_max = 0.0;
-  uint64_t payload_offset = 0;
-  uint64_t payload_bytes = 0;
-  uint32_t payload_crc = 0;
-  uint32_t pad = 0;
-};
-static_assert(sizeof(SegmentHeader) == kSegmentHeaderBytes,
-              "segment header layout is part of the on-disk format");
-
-size_t AlignUp(size_t n, size_t align) {
-  return (n + align - 1) / align * align;
-}
 
 template <typename T>
 void Append(std::string* out, T v) {
@@ -125,44 +86,22 @@ util::Status MakeDirs(const std::string& dir) {
 
 // --- MappedSegment ---------------------------------------------------------
 
-MappedSegment::~MappedSegment() {
-  if (base_ != nullptr) ::munmap(base_, length_);
-}
-
-MappedSegment::MappedSegment(MappedSegment&& other) noexcept
-    : base_(std::exchange(other.base_, nullptr)),
-      length_(std::exchange(other.length_, 0)),
-      tensors_(std::move(other.tensors_)),
-      log_min_(other.log_min_),
-      log_max_(other.log_max_),
-      epoch_(other.epoch_),
-      combo_(other.combo_) {}
-
-MappedSegment& MappedSegment::operator=(MappedSegment&& other) noexcept {
-  if (this == &other) return *this;
-  if (base_ != nullptr) ::munmap(base_, length_);
-  base_ = std::exchange(other.base_, nullptr);
-  length_ = std::exchange(other.length_, 0);
-  tensors_ = std::move(other.tensors_);
-  log_min_ = other.log_min_;
-  log_max_ = other.log_max_;
-  epoch_ = other.epoch_;
-  combo_ = other.combo_;
-  return *this;
+void MappedSegment::Unmap::operator()(void* base) const {
+  ::munmap(base, length);
 }
 
 void MappedSegment::Evict() const {
-  if (base_ == nullptr) return;
+  if (!valid()) return;
   // Clean file-backed PROT_READ pages: DONTNEED drops them without any
   // writeback, and the next read through any view refaults from the
   // file. Best-effort — a failing madvise just means nothing was freed.
-  (void)::madvise(base_, length_, MADV_DONTNEED);
+  (void)::madvise(mapping_.get(), mapped_bytes(), MADV_DONTNEED);
 }
 
 size_t MappedSegment::ResidentBytes() const {
-  if (base_ == nullptr) return 0;
+  if (!valid()) return 0;
   const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  const size_t pages = (length_ + page - 1) / page;
+  const size_t pages = (mapped_bytes() + page - 1) / page;
   // mincore on a file-backed mapping answers "is the page in the page
   // cache" — which survives MADV_DONTNEED, so it cannot observe an
   // eviction. What the budget bounds is OUR page-table residency (RSS);
@@ -172,7 +111,8 @@ size_t MappedSegment::ResidentBytes() const {
   if (fd >= 0) {
     std::vector<uint64_t> entries(pages);
     const off_t offset = static_cast<off_t>(
-        reinterpret_cast<uintptr_t>(base_) / page * sizeof(uint64_t));
+        reinterpret_cast<uintptr_t>(mapping_.get()) / page *
+        sizeof(uint64_t));
     const ssize_t want =
         static_cast<ssize_t>(pages * sizeof(uint64_t));
     const ssize_t got = ::pread(fd, entries.data(), want, offset);
@@ -186,7 +126,8 @@ size_t MappedSegment::ResidentBytes() const {
   }
   // Fallback (no /proc): page-cache residency, an upper bound.
   std::vector<unsigned char> resident(pages);
-  if (::mincore(base_, length_, resident.data()) != 0) return 0;
+  if (::mincore(mapping_.get(), mapped_bytes(), resident.data()) != 0)
+    return 0;
   size_t bytes = 0;
   for (size_t i = 0; i < pages; ++i)
     if (resident[i] & 1) bytes += page;
@@ -297,83 +238,32 @@ util::Status ModelStore::LoadManifest() {
 }
 
 util::Status ModelStore::WriteSegment(const std::string& tenant,
-                                      const SegmentData& data) {
+                                      const nn::Segment& segment) {
   if (!ValidTenantName(tenant))
     return util::Status::Error(util::StrFormat(
         "store: invalid tenant name '%s' (want [A-Za-z0-9_-]+)",
         tenant.c_str()));
-  if (data.tensors.empty() || data.tensors.size() > kMaxTensors)
-    return util::Status::Error("store: segment needs 1..4096 tensors");
-  for (const nn::ConstMatrixView& t : data.tensors)
-    if (t.data == nullptr || t.rows == 0 || t.cols == 0)
-      return util::Status::Error("store: empty tensor in segment");
-
-  uint64_t write_epoch;
+  nn::Segment stamped = segment;
+  stamped.arch = arch_;
   {
     util::MutexLock lock(&mu_);
-    write_epoch = epoch_ + 1;
+    stamped.epoch = epoch_ + 1;
   }
-
-  // Lay the file out in memory: header, tensor table, aligned payloads.
-  const size_t table_end =
-      kSegmentHeaderBytes + kTensorEntryBytes * data.tensors.size();
-  const size_t payload_offset = AlignUp(table_end, kPayloadAlign);
-  std::string table, payload;
-  table.reserve(table_end - kSegmentHeaderBytes);
-  size_t offset = payload_offset;
-  for (const nn::ConstMatrixView& t : data.tensors) {
-    offset = AlignUp(offset, kPayloadAlign);
-    Append(&table, static_cast<uint32_t>(t.rows));
-    Append(&table, static_cast<uint32_t>(t.cols));
-    Append(&table, static_cast<uint64_t>(offset));
-    const size_t bytes = t.rows * t.cols * sizeof(float);
-    payload.resize(offset - payload_offset, '\0');  // inter-tensor pad
-    payload.append(reinterpret_cast<const char*>(t.data), bytes);
-    offset += bytes;
-  }
-
-  SegmentHeader header;
-  header.magic = kSegmentMagic;
-  header.version = kSegmentVersion;
-  header.term_encoding = arch_.term_encoding;
-  header.hidden_dim = arch_.hidden_dim;
-  header.num_hidden_layers = arch_.num_hidden_layers;
-  header.topology = data.combo.topology;
-  header.combo_size = data.combo.size;
-  header.tensor_count = static_cast<uint32_t>(data.tensors.size());
-  header.epoch = write_epoch;
-  header.log_min = data.log_min;
-  header.log_max = data.log_max;
-  header.payload_offset = payload_offset;
-  header.payload_bytes = payload.size();
-  // CRC over [80, end): the table, the table-to-payload pad, and the
-  // payload — chained so no concatenated copy is needed.
-  uint32_t crc = util::Crc32(table.data(), table.size());
-  const std::string pad(payload_offset - table_end, '\0');
-  crc = util::Crc32(pad.data(), pad.size(), crc);
-  header.payload_crc = util::Crc32(payload.data(), payload.size(), crc);
-
-  std::string file_bytes;
-  file_bytes.reserve(kSegmentHeaderBytes + table.size() + pad.size() +
-                     payload.size());
-  file_bytes.append(reinterpret_cast<const char*>(&header),
-                    sizeof(header));
-  file_bytes += table;
-  file_bytes += pad;
-  file_bytes += payload;
+  std::ostringstream file_bytes;
+  util::Status status = nn::WriteSegment(stamped, file_bytes);
+  if (!status.ok()) return status;
 
   SegmentInfo info;
   info.tenant = tenant;
-  info.combo = data.combo;
-  info.epoch = write_epoch;
-  info.file = SegmentFileName(tenant, data.combo, write_epoch);
-  info.bytes = file_bytes.size();
-  util::Status status =
-      util::WriteFileAtomic(dir_ + "/" + info.file, file_bytes);
+  info.combo = segment.combo;
+  info.epoch = stamped.epoch;
+  info.file = SegmentFileName(tenant, segment.combo, stamped.epoch);
+  info.bytes = static_cast<uint64_t>(file_bytes.tellp());
+  status = util::WriteFileAtomic(dir_ + "/" + info.file, file_bytes.view());
   if (!status.ok()) return status;
 
   util::MutexLock lock(&mu_);
-  staged_[{tenant, data.combo}] = std::move(info);
+  staged_[{tenant, segment.combo}] = std::move(info);
   return util::Status::Ok();
 }
 
@@ -564,7 +454,7 @@ util::Status ModelStore::MapSegment(const SegmentInfo& info,
     return status;
   }
   const size_t length = static_cast<size_t>(st.st_size);
-  if (length != info.bytes || length < kSegmentHeaderBytes) {
+  if (length != info.bytes) {
     ::close(fd);
     return util::Status::Error(util::StrFormat(
         "store: %s is %zu bytes, manifest says %llu", path.c_str(),
@@ -576,67 +466,17 @@ util::Status ModelStore::MapSegment(const SegmentInfo& info,
     return util::Status::Error(util::StrFormat(
         "store: mmap %s: %s", path.c_str(),
         util::ErrnoMessage(errno).c_str()));
-  const char* bytes = static_cast<const char*>(base);
-  auto fail = [&](std::string message) {
-    ::munmap(base, length);
-    return util::Status::Error(std::move(message));
-  };
-
-  SegmentHeader header;
-  std::memcpy(&header, bytes, sizeof(header));
-  if (header.magic != kSegmentMagic)
-    return fail("store: bad segment magic (not an LMKG segment)");
-  if (header.version != kSegmentVersion)
-    return fail(util::StrFormat("store: unsupported segment version %u",
-                                header.version));
-  if (header.term_encoding != arch_.term_encoding ||
-      header.hidden_dim != arch_.hidden_dim ||
-      header.num_hidden_layers != arch_.num_hidden_layers)
-    return fail("store: segment arch mismatch");
-  if (header.topology != info.combo.topology ||
-      header.combo_size != info.combo.size)
-    return fail("store: segment combo does not match manifest");
-  if (header.tensor_count == 0 || header.tensor_count > kMaxTensors)
-    return fail("store: corrupt segment tensor count");
-  const size_t table_end =
-      kSegmentHeaderBytes + kTensorEntryBytes * header.tensor_count;
-  if (header.payload_offset != AlignUp(table_end, kPayloadAlign) ||
-      header.payload_offset > length ||
-      header.payload_offset + header.payload_bytes != length)
-    return fail("store: corrupt segment layout");
-  if (verify_crc &&
-      util::Crc32(bytes + kSegmentHeaderBytes,
-                  length - kSegmentHeaderBytes) != header.payload_crc)
-    return fail("store: segment checksum mismatch");
-
-  std::vector<nn::ConstMatrixView> tensors(header.tensor_count);
-  const char* entry = bytes + kSegmentHeaderBytes;
-  for (uint32_t i = 0; i < header.tensor_count;
-       ++i, entry += kTensorEntryBytes) {
-    uint32_t rows = 0, cols = 0;
-    uint64_t offset = 0;
-    std::memcpy(&rows, entry, sizeof(rows));
-    std::memcpy(&cols, entry + 4, sizeof(cols));
-    std::memcpy(&offset, entry + 8, sizeof(offset));
-    const uint64_t tensor_bytes =
-        static_cast<uint64_t>(rows) * cols * sizeof(float);
-    if (rows == 0 || cols == 0 || offset % kPayloadAlign != 0 ||
-        offset < header.payload_offset || offset > length ||
-        tensor_bytes > length - offset)
-      return fail(
-          util::StrFormat("store: corrupt segment tensor %u", i));
-    tensors[i] = {reinterpret_cast<const float*>(bytes + offset), rows,
-                  cols};
-  }
-
   MappedSegment mapped;
-  mapped.base_ = base;
-  mapped.length_ = length;
-  mapped.tensors_ = std::move(tensors);
-  mapped.log_min_ = header.log_min;
-  mapped.log_max_ = header.log_max;
-  mapped.epoch_ = header.epoch;
-  mapped.combo_ = info.combo;
+  mapped.mapping_ = {base, MappedSegment::Unmap{length}};
+  util::Status status = nn::ParseSegment(
+      {static_cast<const char*>(base), length}, verify_crc, &mapped.segment_);
+  if (!status.ok()) return util::Status::Error("store: " + status.message());
+  if (!(mapped.segment_.arch == arch_))
+    return util::Status::Error("store: segment arch mismatch");
+  if (mapped.segment_.combo != info.combo ||
+      mapped.segment_.epoch != info.epoch)
+    return util::Status::Error(
+        "store: segment does not match its manifest entry");
   *out = std::move(mapped);
   return util::Status::Ok();
 }

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "nn/serialize.h"
 #include "nn/tensor.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -17,27 +18,15 @@
 
 namespace lmkg::store {
 
-/// The model-architecture triple every segment and the manifest carry —
-/// the same header AdaptiveLmkg snapshots use to reject a load into a
-/// mismatched replica, lifted into the store so a whole directory of
-/// segments can be rejected before any tensor is touched.
-struct StoreArch {
-  uint32_t term_encoding = 0;
-  uint32_t hidden_dim = 0;
-  uint32_t num_hidden_layers = 0;
-
-  friend bool operator==(const StoreArch&, const StoreArch&) = default;
-};
+/// The architecture triple every segment and the manifest carry, so a
+/// whole directory of segments can be rejected before any tensor is
+/// touched. The segment format itself is nn/serialize.h's.
+using StoreArch = nn::SegmentArch;
 
 /// A (topology, size) model combo as the store keys it. Kept as raw
 /// integers so the store depends only on nn/util — the attach layer
 /// (store/replica_attach.h) converts to core::WorkloadMonitor::Combo.
-struct ComboKey {
-  uint32_t topology = 0;
-  uint32_t size = 0;
-
-  friend auto operator<=>(const ComboKey&, const ComboKey&) = default;
-};
+using ComboKey = nn::SegmentCombo;
 
 /// One committed segment as listed in the manifest.
 struct SegmentInfo {
@@ -48,15 +37,6 @@ struct SegmentInfo {
   uint64_t bytes = 0;   // file size, validated before mapping
 };
 
-/// What WriteSegment serializes: the model's label scaler plus its
-/// weight tensors in nn CollectParams order (LmkgS::ParamViews).
-struct SegmentData {
-  ComboKey combo;
-  double log_min = 0.0;
-  double log_max = 0.0;
-  std::vector<nn::ConstMatrixView> tensors;
-};
-
 /// A read-only mmap of one segment file with the tensor table parsed
 /// into views. Move-only; the mapping lives until destruction, so views
 /// handed out (and Matrix borrows built on them) stay valid across
@@ -64,23 +44,14 @@ struct SegmentData {
 /// drops the pages but leaves the addresses refaultable on next touch.
 class MappedSegment {
  public:
-  MappedSegment() = default;
-  ~MappedSegment();
-  MappedSegment(MappedSegment&& other) noexcept;
-  MappedSegment& operator=(MappedSegment&& other) noexcept;
-  MappedSegment(const MappedSegment&) = delete;
-  MappedSegment& operator=(const MappedSegment&) = delete;
-
-  bool valid() const { return base_ != nullptr; }
+  bool valid() const { return mapping_ != nullptr; }
   const std::vector<nn::ConstMatrixView>& tensors() const {
-    return tensors_;
+    return segment_.tensors;
   }
-  double log_min() const { return log_min_; }
-  double log_max() const { return log_max_; }
-  uint64_t epoch() const { return epoch_; }
-  ComboKey combo() const { return combo_; }
+  double log_min() const { return segment_.log_min; }
+  double log_max() const { return segment_.log_max; }
   /// Total bytes of the mapping (header + tensor table + payload).
-  size_t mapped_bytes() const { return length_; }
+  size_t mapped_bytes() const { return mapping_.get_deleter().length; }
 
   /// Releases the segment's physical pages (madvise MADV_DONTNEED)
   /// without unmapping: the next access through any view faults them
@@ -94,13 +65,12 @@ class MappedSegment {
 
  private:
   friend class ModelStore;
-  void* base_ = nullptr;
-  size_t length_ = 0;
-  std::vector<nn::ConstMatrixView> tensors_;
-  double log_min_ = 0.0;
-  double log_max_ = 0.0;
-  uint64_t epoch_ = 0;
-  ComboKey combo_;
+  struct Unmap {  // munmaps the mapping, whose length it carries
+    size_t length;  // value-initialized by unique_ptr's constructors
+    void operator()(void* base) const;
+  };
+  std::unique_ptr<void, Unmap> mapping_;
+  nn::Segment segment_;  // parsed views into the mapping
 };
 
 /// A durable, mmap-able registry of trained LMKG-S models: one
@@ -120,10 +90,12 @@ class MappedSegment {
 /// process still maps is safe — the inode (and every mapped page)
 /// survives until the mapping goes away.
 ///
-/// Each segment carries a CRC over its tensor table + payload and the
-/// arch triple; MapSegment rejects truncation, magic/version/arch
-/// mismatch, out-of-bounds or misaligned tensors, and (when asked)
-/// checksum mismatch — always leaving the caller's state untouched.
+/// Each segment file is one nn/serialize.h segment stamped with the
+/// store's arch triple and epoch — byte for byte what a stream Save of
+/// the same model writes, but for the epoch. MapSegment parses it with
+/// the same parser a stream Load uses, then rejects arch, combo or
+/// epoch disagreement with the manifest — always leaving the caller's
+/// state untouched.
 ///
 /// Thread-safe: the manifest map is mutex-protected; MapSegment touches
 /// only immutable committed files.
@@ -135,11 +107,12 @@ class ModelStore {
   static util::Status Open(const std::string& dir, const StoreArch& arch,
                            std::unique_ptr<ModelStore>* out);
 
-  /// Durably writes one segment file for (tenant, data.combo) and
-  /// stages its manifest entry for the next Commit(). The previous
-  /// committed segment (if any) keeps serving until then.
+  /// Durably writes `segment` as the file for (tenant, segment.combo),
+  /// stamped with the store's arch and the next epoch, and stages its
+  /// manifest entry for the next Commit(). The previous committed
+  /// segment (if any) keeps serving until then.
   util::Status WriteSegment(const std::string& tenant,
-                            const SegmentData& data);
+                            const nn::Segment& segment);
 
   /// Stages removal of (tenant, combo) from the manifest; the file is
   /// unlinked by the next Commit().

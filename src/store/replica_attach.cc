@@ -39,15 +39,11 @@ class CacheSource : public core::AdaptiveLmkg::MappedSource {
 }  // namespace
 
 ComboKey ToComboKey(const core::WorkloadMonitor::Combo& combo) {
-  return ComboKey{static_cast<uint32_t>(combo.topology),
-                  static_cast<uint32_t>(combo.size)};
+  return core::SegmentComboOf(combo);
 }
 
 StoreArch ToStoreArch(const core::AdaptiveLmkgConfig& config) {
-  return StoreArch{
-      static_cast<uint32_t>(config.term_encoding),
-      static_cast<uint32_t>(config.s_config.hidden_dim),
-      static_cast<uint32_t>(config.s_config.num_hidden_layers)};
+  return core::SegmentArchOf(config);
 }
 
 util::Status AttachReplica(StoreCache* cache, const std::string& tenant,
@@ -92,12 +88,9 @@ util::Status WriteModelSegment(ModelStore* store,
     return util::Status::Error(util::StrFormat(
         "store write: no model for combo %s-%d",
         query::TopologyName(combo.topology), combo.size));
-  SegmentData data;
-  data.combo = ToComboKey(combo);
-  data.log_min = model->scaler().log_min();
-  data.log_max = model->scaler().log_max();
-  data.tensors = model->ParamViews();
-  return store->WriteSegment(tenant, data);
+  nn::Segment segment = model->ToSegment();
+  segment.combo = ToComboKey(combo);
+  return store->WriteSegment(tenant, segment);
 }
 
 }  // namespace lmkg::store

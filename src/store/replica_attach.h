@@ -14,7 +14,8 @@ namespace lmkg::store {
 ComboKey ToComboKey(const core::WorkloadMonitor::Combo& combo);
 
 /// The arch triple a store serving this config must carry — what
-/// ModelStore::Open validates the manifest (and every segment) against.
+/// ModelStore::Open validates the manifest (and every segment) against;
+/// the same triple an AdaptiveLmkg snapshot stamps on its segments.
 StoreArch ToStoreArch(const core::AdaptiveLmkgConfig& config);
 
 struct AttachOptions {

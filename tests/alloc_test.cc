@@ -11,6 +11,7 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -324,6 +325,33 @@ TEST_F(MappedAttachAllocationTest, HydrationCopiesNoWeightMatrices) {
   // And the mapped replica actually serves.
   EXPECT_DOUBLE_EQ(mapped.EstimateCardinality(stars2_[0]),
                    donor_->EstimateCardinality(stars2_[0]));
+}
+
+// A snapshot whose segment names combo (composite, 256) — within the
+// size bound, but an SG input of 257^2 * 256 columns — fails against
+// the segment's tensor table before any model for that combo is built:
+// the whole Load allocates less than one weight payload of the real
+// model, and the target keeps what it had.
+TEST_F(MappedAttachAllocationTest, CorruptSnapshotComboFailsBeforeAllocating) {
+  std::ostringstream blob;
+  ASSERT_TRUE(donor_->Save(blob).ok());
+  std::string snapshot = blob.str();
+  // The first segment's combo {u32 topology, u32 size} sits at header
+  // offset 20 (nn/serialize.h layout); "GSML" is the host-endian magic.
+  const size_t segment = snapshot.find("GSML");
+  ASSERT_NE(segment, std::string::npos);
+  const uint32_t combo[2] = {static_cast<uint32_t>(Topology::kComposite),
+                             256};
+  std::memcpy(snapshot.data() + segment + 20, combo, sizeof(combo));
+
+  core::AdaptiveLmkg target(graph_, EmptyConfig());
+  std::istringstream in(snapshot);
+  const size_t before = lmkg::testing::AllocationBytes();
+  const util::Status status = target.Load(in);
+  const size_t allocated = lmkg::testing::AllocationBytes() - before;
+  EXPECT_FALSE(status.ok());
+  EXPECT_LT(allocated, DonorWeightBytes()) << status.message();
+  EXPECT_EQ(target.num_models(), 0u);
 }
 
 // The millisecond-cold-start contract end to end: attach with one warm

@@ -1,12 +1,13 @@
 // Model-lifecycle tests: the epoch-tagged result cache (the stale-cache
 // bugfix — no estimate computed by a pre-swap model generation may ever
-// be served after the swap's epoch bump), hot replica swaps under
-// concurrent clients, AdaptiveLmkg versioned snapshots (Save -> Load
-// reproduces estimates bit-identically), the background
-// drift->adapt->hot-swap loop of serving::ModelLifecycle, and its single
-// install path (one shared weight copy per changed combo, fail-soft
-// replicas, installs under concurrent clients). Together with
-// serving_test.cc this suite is the target of the TSan CI leg.
+// be served after the swap's epoch bump), in-place hot swaps (Install
+// through WithReplica) under concurrent clients, AdaptiveLmkg versioned
+// snapshots (Save -> Load reproduces estimates bit-identically), the
+// background drift->adapt->hot-swap loop of serving::ModelLifecycle,
+// and its single install path (one shared weight copy per changed
+// combo, fail-soft replicas, installs under concurrent clients).
+// Together with serving_test.cc this suite is the target of the TSan CI
+// leg.
 #include "serving/model_lifecycle.h"
 
 #include <gtest/gtest.h>
@@ -104,33 +105,24 @@ std::vector<Query> MakeServingWorkload(const rdf::Graph& graph,
   return queries;
 }
 
-// Two generations of the "same" deployment: model A and model B share
-// the architecture but are trained with different seeds, so they give
-// different estimates for (at least some of) the workload — the
-// precondition for observing a stale cache value at all.
+// Two generations of the "same" deployment: every combo of the workload
+// trained twice with different seeds, exported as two installable
+// updates A and B that share the architecture but give different
+// estimates for (at least some of) the workload — the precondition for
+// observing a stale cache value at all. Serving replicas are
+// AdaptiveLmkg instances; a hot swap installs the other generation into
+// each of them in place (EstimatorService::WithReplica).
 class HotSwapTest : public ::testing::Test {
  protected:
+  using ModelUpdate = core::AdaptiveLmkg::ModelUpdate;
+
   HotSwapTest() : graph_(MakeRandomGraph(60, 6, 700, 11)) {
-    sampling::WorkloadGenerator generator(graph_);
-    std::vector<sampling::LabeledQuery> train;
-    uint64_t combo = 0;
-    for (Topology topology : {Topology::kStar, Topology::kChain}) {
-      for (int size : {2, kMaxQuerySize}) {
-        sampling::WorkloadGenerator::Options options;
-        options.topology = topology;
-        options.query_size = size;
-        options.count = 40;
-        options.seed = 1000 + 31 * combo++;
-        auto labeled = generator.Generate(options);
-        train.insert(train.end(), labeled.begin(), labeled.end());
-      }
-    }
-    blob_a_ = TrainBlob(train, /*seed=*/7);
-    blob_b_ = TrainBlob(train, /*seed=*/8);
+    update_a_ = TrainGeneration(/*seed=*/7);
+    update_b_ = TrainGeneration(/*seed=*/8);
 
     workload_ = MakeServingWorkload(graph_, 20, 5);
-    auto model_a = ModelFromBlob(blob_a_, 7);
-    auto model_b = ModelFromBlob(blob_b_, 8);
+    auto model_a = Replica(update_a_);
+    auto model_b = Replica(update_b_);
     expected_a_.reserve(workload_.size());
     expected_b_.reserve(workload_.size());
     bool any_difference = false;
@@ -144,45 +136,56 @@ class HotSwapTest : public ::testing::Test {
     LMKG_CHECK(any_difference);
   }
 
-  core::LmkgSConfig ModelConfig(uint64_t seed) {
-    core::LmkgSConfig config;
-    config.hidden_dim = 16;
-    config.epochs = 2;
-    config.dropout = 0.0;
-    config.seed = seed;
+  core::AdaptiveLmkgConfig ReplicaConfig() {
+    core::AdaptiveLmkgConfig config;
+    config.s_config.hidden_dim = 16;
+    config.s_config.epochs = 2;
+    config.s_config.dropout = 0.0;
+    config.train_queries = 40;
+    config.initial_combos.clear();
     return config;
   }
 
-  std::string TrainBlob(const std::vector<sampling::LabeledQuery>& train,
-                        uint64_t seed) {
-    core::LmkgS model(NewEncoder(), ModelConfig(seed));
-    model.Train(train);
-    std::ostringstream blob;
-    LMKG_CHECK(model.Save(blob).ok());
-    return blob.str();
+  // Trains every (topology, size) combo of the workload with `seed` and
+  // exports the weights as one update (one shared copy per combo).
+  ModelUpdate TrainGeneration(uint64_t seed) {
+    core::AdaptiveLmkgConfig config = ReplicaConfig();
+    for (Topology topology : {Topology::kStar, Topology::kChain})
+      for (int size : {2, kMaxQuerySize})
+        config.initial_combos.push_back({topology, size});
+    config.seed = seed;
+    core::AdaptiveLmkg donor(graph_, config);
+    ModelUpdate update;
+    for (const auto& combo : donor.ModelCombos())
+      update.install.emplace_back(combo,
+                                  donor.FindModel(combo)->CopyWeights());
+    return update;
   }
 
-  std::unique_ptr<encoding::QueryEncoder> NewEncoder() {
-    return encoding::MakeSgEncoder(graph_, kMaxQuerySize + 1,
-                                   kMaxQuerySize,
-                                   encoding::TermEncoding::kBinary);
-  }
-
-  std::unique_ptr<core::LmkgS> ModelFromBlob(const std::string& blob,
-                                             uint64_t seed) {
-    auto model =
-        std::make_unique<core::LmkgS>(NewEncoder(), ModelConfig(seed));
-    std::istringstream in(blob);
-    EXPECT_TRUE(model->Load(in).ok());
-    return model;
+  std::unique_ptr<core::AdaptiveLmkg> Replica(const ModelUpdate& update) {
+    auto replica =
+        std::make_unique<core::AdaptiveLmkg>(graph_, ReplicaConfig());
+    LMKG_CHECK(replica->Install(update).ok());
+    return replica;
   }
 
   std::vector<std::unique_ptr<core::CardinalityEstimator>> Replicas(
-      const std::string& blob, uint64_t seed, size_t n) {
+      const ModelUpdate& update, size_t n) {
     std::vector<std::unique_ptr<core::CardinalityEstimator>> replicas;
-    for (size_t i = 0; i < n; ++i)
-      replicas.push_back(ModelFromBlob(blob, seed));
+    for (size_t i = 0; i < n; ++i) replicas.push_back(Replica(update));
     return replicas;
+  }
+
+  // The first half of a hot swap: `update` installed into every served
+  // replica under its shard's replica mutex. The caller bumps the epoch.
+  static void InstallEverywhere(EstimatorService& service,
+                                const ModelUpdate& update) {
+    for (size_t r = 0; r < service.num_replicas(); ++r)
+      service.WithReplica(r, [&](core::CardinalityEstimator* replica) {
+        auto* adaptive = dynamic_cast<core::AdaptiveLmkg*>(replica);
+        ASSERT_NE(adaptive, nullptr);
+        EXPECT_TRUE(adaptive->Install(update).ok());
+      });
   }
 
   // All clients submit the whole workload in their own shuffled order;
@@ -209,8 +212,8 @@ class HotSwapTest : public ::testing::Test {
   }
 
   rdf::Graph graph_;
-  std::string blob_a_;
-  std::string blob_b_;
+  ModelUpdate update_a_;
+  ModelUpdate update_b_;
   std::vector<Query> workload_;
   std::vector<double> expected_a_;
   std::vector<double> expected_b_;
@@ -227,7 +230,7 @@ TEST_F(HotSwapTest, MidStreamSwapServesZeroStaleCacheValues) {
   config.max_batch_size = 16;
   config.max_queue_delay_us = 100;
   config.cache_capacity = 4096;  // whole workload stays resident
-  EstimatorService service(Replicas(blob_a_, 7, 2), config);
+  EstimatorService service(Replicas(update_a_, 2), config);
 
   constexpr size_t kClients = 8;
   auto phase1 = RunClients(&service, kClients, 900);
@@ -238,10 +241,7 @@ TEST_F(HotSwapTest, MidStreamSwapServesZeroStaleCacheValues) {
   EXPECT_GT(service.Stats().cache_hits, 0u);
 
   // Hot-swap: every replica first, then ONE epoch bump.
-  for (size_t r = 0; r < service.num_replicas(); ++r) {
-    auto old_model = service.ReplaceReplica(r, ModelFromBlob(blob_b_, 8));
-    EXPECT_NE(old_model, nullptr);
-  }
+  InstallEverywhere(service, update_b_);
   service.AdvanceEpoch();
   EXPECT_EQ(service.epoch(), 1u);
 
@@ -265,7 +265,7 @@ TEST_F(HotSwapTest, SwapsRacingClientsNeverMixGenerations) {
   ServiceConfig config;
   config.max_batch_size = 16;
   config.cache_capacity = 4096;
-  EstimatorService service(Replicas(blob_a_, 7, 2), config);
+  EstimatorService service(Replicas(update_a_, 2), config);
 
   constexpr size_t kClients = 4;
   constexpr int kRounds = 6;
@@ -287,12 +287,10 @@ TEST_F(HotSwapTest, SwapsRacingClientsNeverMixGenerations) {
     });
   }
   // Swap A -> B -> A -> B while the clients hammer the service.
-  const std::string* blobs[] = {&blob_b_, &blob_a_, &blob_b_};
-  const uint64_t seeds[] = {8, 7, 8};
-  for (int swap = 0; swap < 3; ++swap) {
+  const ModelUpdate* generations[] = {&update_b_, &update_a_, &update_b_};
+  for (const ModelUpdate* generation : generations) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    for (size_t r = 0; r < service.num_replicas(); ++r)
-      service.ReplaceReplica(r, ModelFromBlob(*blobs[swap], seeds[swap]));
+    InstallEverywhere(service, *generation);
     service.AdvanceEpoch();
   }
   for (auto& t : clients) t.join();

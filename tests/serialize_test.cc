@@ -1,14 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/adaptive.h"
 #include "core/lmkg.h"
 #include "core/lmkg_s.h"
 #include "core/lmkg_u.h"
 #include "encoding/query_encoder.h"
 #include "nn/layer.h"
 #include "nn/serialize.h"
+#include "range/histogram.h"
+#include "range/range_encoder.h"
+#include "range/range_lmkg_s.h"
+#include "range/range_workload.h"
 #include "sampling/workload.h"
 #include "test_util.h"
 
@@ -18,7 +28,29 @@ namespace {
 using query::PatternTerm;
 using query::Topology;
 
-// --- raw parameter round trips --------------------------------------------------
+// --- the segment codec over raw parameter lists --------------------------------
+
+util::Status SaveNet(nn::Sequential& net, std::ostream& out,
+                     double log_min = 0.0, double log_max = 0.0) {
+  nn::Segment segment;
+  segment.log_min = log_min;
+  segment.log_max = log_max;
+  segment.tensors = nn::ParamViews(net.Params());
+  return nn::WriteSegment(segment, out);
+}
+
+util::Status LoadNet(nn::Sequential& net, std::istream& in) {
+  double log_min = 0.0, log_max = 0.0;
+  return nn::ReadParamSegment(in, net.Params(), &log_min, &log_max);
+}
+
+std::vector<float> Flatten(nn::Sequential& net) {
+  std::vector<float> values;
+  for (nn::ParamRef p : net.Params())
+    values.insert(values.end(), p.value->data(),
+                  p.value->data() + p.value->size());
+  return values;
+}
 
 TEST(SerializeTest, RoundTripRestoresExactBits) {
   util::Pcg32 rng(1);
@@ -26,30 +58,46 @@ TEST(SerializeTest, RoundTripRestoresExactBits) {
   net.Add(std::make_unique<nn::Dense>(4, 8, rng));
   net.Add(std::make_unique<nn::Relu>());
   net.Add(std::make_unique<nn::Dense>(8, 2, rng));
-  std::vector<float> original;
-  for (nn::ParamRef p : net.Params())
-    original.insert(original.end(), p.value->data(),
-                    p.value->data() + p.value->size());
+  const std::vector<float> original = Flatten(net);
 
   std::stringstream buffer;
-  ASSERT_TRUE(nn::SaveParams(net.Params(), buffer).ok());
+  ASSERT_TRUE(SaveNet(net, buffer, 0.25, 7.5).ok());
 
-  // Scramble, then load back.
+  // The mapped parser sees the same tensors, 64-byte aligned.
+  const std::string bytes = buffer.str();
+  nn::Segment parsed;
+  ASSERT_TRUE(nn::ParseSegment(bytes, /*verify_crc=*/true, &parsed).ok());
+  ASSERT_EQ(parsed.tensors.size(), net.Params().size());
+  std::vector<float> viewed;
+  for (const nn::ConstMatrixView& t : parsed.tensors) {
+    EXPECT_EQ((t.data - reinterpret_cast<const float*>(bytes.data())) % 16,
+              0);
+    viewed.insert(viewed.end(), t.data, t.data + t.rows * t.cols);
+  }
+  EXPECT_EQ(viewed, original);
+
+  // Scramble, then load back: bits and scaler range.
   for (nn::ParamRef p : net.Params()) p.value->Fill(99.0f);
-  ASSERT_TRUE(nn::LoadParams(net.Params(), buffer).ok());
-  std::vector<float> restored;
-  for (nn::ParamRef p : net.Params())
-    restored.insert(restored.end(), p.value->data(),
-                    p.value->data() + p.value->size());
-  EXPECT_EQ(original, restored);
+  double log_min = 0.0, log_max = 0.0;
+  ASSERT_TRUE(
+      nn::ReadParamSegment(buffer, net.Params(), &log_min, &log_max).ok());
+  EXPECT_EQ(Flatten(net), original);
+  EXPECT_EQ(log_min, 0.25);
+  EXPECT_EQ(log_max, 7.5);
 }
 
 TEST(SerializeTest, RejectsBadMagic) {
   util::Pcg32 rng(2);
   nn::Sequential net;
   net.Add(std::make_unique<nn::Dense>(2, 2, rng));
-  std::stringstream buffer("this is not a model file at all........");
-  auto status = nn::LoadParams(net.Params(), buffer);
+  // Longer than a segment header, so the magic is what fails.
+  const std::string garbage(200, 'x');
+  std::stringstream buffer(garbage);
+  auto status = LoadNet(net, buffer);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("magic"), std::string::npos);
+  nn::Segment parsed;
+  status = nn::ParseSegment(garbage, /*verify_crc=*/false, &parsed);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("magic"), std::string::npos);
 }
@@ -60,20 +108,13 @@ TEST(SerializeTest, RejectsShapeMismatchWithoutPartialLoad) {
   small.Add(std::make_unique<nn::Dense>(2, 2, rng));
   big.Add(std::make_unique<nn::Dense>(2, 3, rng));
   std::stringstream buffer;
-  ASSERT_TRUE(nn::SaveParams(small.Params(), buffer).ok());
+  ASSERT_TRUE(SaveNet(small, buffer).ok());
   // Remember big's weights; the failed load must not alter them.
-  std::vector<float> before;
-  for (nn::ParamRef p : big.Params())
-    before.insert(before.end(), p.value->data(),
-                  p.value->data() + p.value->size());
-  auto status = nn::LoadParams(big.Params(), buffer);
+  const std::vector<float> before = Flatten(big);
+  auto status = LoadNet(big, buffer);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("shape mismatch"), std::string::npos);
-  std::vector<float> after;
-  for (nn::ParamRef p : big.Params())
-    after.insert(after.end(), p.value->data(),
-                 p.value->data() + p.value->size());
-  EXPECT_EQ(before, after);
+  EXPECT_EQ(Flatten(big), before);
 }
 
 TEST(SerializeTest, RejectsTruncatedData) {
@@ -81,10 +122,16 @@ TEST(SerializeTest, RejectsTruncatedData) {
   nn::Sequential net;
   net.Add(std::make_unique<nn::Dense>(4, 4, rng));
   std::stringstream buffer;
-  ASSERT_TRUE(nn::SaveParams(net.Params(), buffer).ok());
+  ASSERT_TRUE(SaveNet(net, buffer).ok());
   std::string bytes = buffer.str();
+  const std::vector<float> before = Flatten(net);
   std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(nn::LoadParams(net.Params(), truncated).ok());
+  EXPECT_FALSE(LoadNet(net, truncated).ok());
+  EXPECT_EQ(Flatten(net), before);
+  nn::Segment parsed;
+  EXPECT_FALSE(nn::ParseSegment(bytes.substr(0, bytes.size() / 2),
+                                /*verify_crc=*/false, &parsed)
+                   .ok());
 }
 
 TEST(SerializeTest, RejectsTensorCountMismatch) {
@@ -94,8 +141,8 @@ TEST(SerializeTest, RejectsTensorCountMismatch) {
   two.Add(std::make_unique<nn::Dense>(2, 2, rng));
   two.Add(std::make_unique<nn::Dense>(2, 2, rng));
   std::stringstream buffer;
-  ASSERT_TRUE(nn::SaveParams(one.Params(), buffer).ok());
-  auto status = nn::LoadParams(two.Params(), buffer);
+  ASSERT_TRUE(SaveNet(one, buffer).ok());
+  auto status = LoadNet(two, buffer);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("count mismatch"), std::string::npos);
 }
@@ -331,6 +378,331 @@ TEST_F(FrameworkPersistenceTest, LoadRejectsMismatchedHiddenDim) {
   EXPECT_FALSE(restored.Load(buffer).ok());
 }
 
+// --- corruption replay -------------------------------------------------------------
+//
+// Every persisted model kind is replayed against truncations at every
+// byte of its headers and tensor tables and at a stride through its
+// payloads, and against seeded bit flips. Each Load must fail or
+// estimate bit-identically to a load of the pristine bytes (never
+// abort), and a failed Load must leave its target's estimates as they
+// were.
+
+// The ranges a truncation sweep covers byte by byte: the container
+// prefix before the first segment, then each segment's fixed header and
+// tensor table, found by the segment magic and sized by the tensor
+// count at header offset 28 (the nn/serialize.h layout).
+std::vector<std::pair<size_t, size_t>> HeaderRegions(
+    const std::string& bytes) {
+  const std::string magic = "GSML";  // "LMSG" as a host-endian u32
+  std::vector<std::pair<size_t, size_t>> regions;
+  size_t at = bytes.find(magic);
+  regions.emplace_back(0, std::min(at, bytes.size()));
+  for (; at != std::string::npos; at = bytes.find(magic, at + 1)) {
+    uint32_t count = 0;
+    if (at + 32 <= bytes.size())
+      std::memcpy(&count, bytes.data() + at + 28, sizeof(count));
+    regions.emplace_back(at,
+                         std::min(bytes.size(), at + 80 + 16 * size_t{count}));
+  }
+  std::erase_if(regions, [](const auto& r) { return r.first == r.second; });
+  return regions;
+}
+
+struct Corruption {
+  std::string bytes;
+  bool truncated = false;  // a truncated stream must never load
+};
+
+std::vector<Corruption> Corruptions(const std::string& pristine) {
+  const auto regions = HeaderRegions(pristine);
+  std::vector<bool> cut(pristine.size(), false);
+  for (const auto& [begin, end] : regions)
+    for (size_t i = begin; i < end; ++i) cut[i] = true;
+  const size_t stride = std::max<size_t>(1, pristine.size() / 64);
+  for (size_t i = 0; i < pristine.size(); i += stride) cut[i] = true;
+  std::vector<Corruption> out;
+  for (size_t i = 0; i < pristine.size(); ++i)
+    if (cut[i]) out.push_back({pristine.substr(0, i), true});
+
+  // Every header and table byte inverted in turn (this reaches the high
+  // bytes of each field, e.g. the exponent of the scaler range).
+  for (const auto& [begin, end] : regions)
+    for (size_t i = begin; i < end; ++i) {
+      std::string inverted = pristine;
+      inverted[i] = static_cast<char>(~inverted[i]);
+      out.push_back({std::move(inverted)});
+    }
+  // Seeded bit flips: odd trials anywhere (mostly payload, caught by the
+  // CRC), even trials inside the headers and tables.
+  util::Pcg32 rng(20261017);
+  for (int trial = 0; trial < 96; ++trial) {
+    std::string flipped = pristine;
+    const uint32_t flips = 1 + rng.Next() % 3;
+    for (uint32_t f = 0; f < flips; ++f) {
+      size_t pos = rng.Next() % pristine.size();
+      if (trial % 2 == 0) {
+        const auto& [begin, end] = regions[rng.Next() % regions.size()];
+        pos = begin + rng.Next() % (end - begin);
+      }
+      flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << (rng.Next() % 8)));
+    }
+    out.push_back({std::move(flipped)});
+  }
+  return out;
+}
+
+// One Load target under replay.
+struct ReplayTarget {
+  // Loads `bytes` into the target.
+  std::function<util::Status(const std::string&)> load;
+  // The target's estimates over a fixed probe set.
+  std::function<std::vector<double>()> estimates;
+  // Puts the target back in its pre-replay state after a successful load.
+  std::function<void()> reset;
+};
+
+void ReplayCorruptions(const std::string& pristine,
+                       const ReplayTarget& target) {
+  const std::vector<double> before = target.estimates();
+  ASSERT_TRUE(target.load(pristine).ok());
+  const std::vector<double> loaded = target.estimates();
+  ASSERT_FALSE(loaded.empty());
+  ASSERT_NE(loaded, before) << "the replay could not tell a load happened";
+  target.reset();
+  ASSERT_EQ(target.estimates(), before);
+
+  const std::vector<Corruption> cases = Corruptions(pristine);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::string& bytes = cases[i].bytes;
+    if (target.load(bytes).ok()) {
+      ASSERT_FALSE(cases[i].truncated)
+          << "a truncation to " << bytes.size() << " of " << pristine.size()
+          << " bytes loaded";
+      // Only bytes no estimate depends on may change and still load: a
+      // segment's epoch, a container's counters.
+      ASSERT_TRUE(target.estimates() == loaded)
+          << "case " << i << " loaded but estimates differently";
+      target.reset();
+    } else {
+      ASSERT_TRUE(target.estimates() == before)
+          << "case " << i << " (" << bytes.size() << " of "
+          << pristine.size() << " bytes) failed but changed the target";
+    }
+  }
+}
+
+template <typename Model>
+std::string Saved(Model& model) {
+  std::ostringstream out;
+  EXPECT_TRUE(model.Save(out).ok());
+  return out.str();
+}
+
+template <typename Model>
+util::Status LoadBytes(Model& model, const std::string& bytes) {
+  std::istringstream in(bytes);
+  return model.Load(in);
+}
+
+class CorruptionReplayTest : public ::testing::Test {
+ protected:
+  CorruptionReplayTest()
+      : graph_(lmkg::testing::MakeRandomGraph(30, 4, 250, 11)) {}
+
+  std::vector<query::Query> Probes(Topology topology, int size,
+                                   size_t count, uint64_t seed) {
+    sampling::WorkloadGenerator generator(graph_);
+    sampling::WorkloadGenerator::Options options;
+    options.topology = topology;
+    options.query_size = size;
+    options.count = count;
+    options.seed = seed;
+    std::vector<query::Query> queries;
+    for (auto& lq : generator.Generate(options))
+      queries.push_back(std::move(lq.query));
+    return queries;
+  }
+
+  template <typename Estimator>
+  static std::vector<double> EstimatesOf(
+      Estimator& model, const std::vector<query::Query>& queries) {
+    std::vector<double> out;
+    for (const query::Query& q : queries)
+      out.push_back(model.EstimateCardinality(q));
+    return out;
+  }
+
+  core::AdaptiveLmkgConfig AdaptiveConfig(uint64_t seed) {
+    core::AdaptiveLmkgConfig config;
+    config.s_config.hidden_dim = 16;
+    config.s_config.epochs = 2;
+    config.s_config.dropout = 0.0;
+    config.train_queries = 60;
+    config.initial_combos = {{Topology::kStar, 2}, {Topology::kChain, 2}};
+    config.seed = seed;
+    return config;
+  }
+
+  rdf::Graph graph_;
+};
+
+TEST_F(CorruptionReplayTest, LmkgS) {
+  core::LmkgSConfig config;
+  config.hidden_dim = 16;
+  config.epochs = 3;
+  const auto encoder = [&] {
+    return encoding::MakeStarEncoder(graph_, 2,
+                                     encoding::TermEncoding::kBinary);
+  };
+  sampling::WorkloadGenerator generator(graph_);
+  sampling::WorkloadGenerator::Options options;
+  options.topology = Topology::kStar;
+  options.query_size = 2;
+  options.count = 120;
+  const auto train = generator.Generate(options);
+  config.seed = 3;
+  core::LmkgS model_a(encoder(), config);
+  model_a.Train(train);
+  config.seed = 4;
+  core::LmkgS model_b(encoder(), config);
+  model_b.Train(train);
+  const std::string pristine_b = Saved(model_b);
+  const auto probes = Probes(Topology::kStar, 2, 12, 31);
+
+  core::LmkgS target(encoder(), config);
+  ASSERT_TRUE(LoadBytes(target, pristine_b).ok());
+  ReplayCorruptions(
+      Saved(model_a),
+      {[&](const std::string& bytes) { return LoadBytes(target, bytes); },
+       [&] { return EstimatesOf(target, probes); },
+       [&] { ASSERT_TRUE(LoadBytes(target, pristine_b).ok()); }});
+}
+
+TEST_F(CorruptionReplayTest, LmkgFrameworkSupervisedAndUnsupervised) {
+  core::LmkgConfig supervised;
+  supervised.kind = core::ModelKind::kSupervised;
+  supervised.grouping = core::Grouping::kSpecialized;
+  supervised.query_sizes = {2};
+  supervised.s_config.hidden_dim = 16;
+  supervised.s_config.epochs = 3;
+  supervised.train_queries_per_combo = 100;
+  core::LmkgConfig unsupervised;
+  unsupervised.kind = core::ModelKind::kUnsupervised;
+  unsupervised.query_sizes = {2};
+  unsupervised.u_config.embedding_dim = 4;
+  unsupervised.u_config.hidden_dim = 16;
+  unsupervised.u_config.num_blocks = 1;
+  unsupervised.u_config.epochs = 1;
+  unsupervised.u_config.train_samples = 200;
+  unsupervised.u_config.sample_count = 8;
+  std::vector<query::Query> probes = Probes(Topology::kStar, 2, 6, 31);
+  for (auto& q : Probes(Topology::kChain, 2, 6, 37)) probes.push_back(q);
+  for (auto& q : Probes(Topology::kStar, 1, 3, 41)) probes.push_back(q);
+
+  for (const core::LmkgConfig& config : {supervised, unsupervised}) {
+    SCOPED_TRACE(config.kind == core::ModelKind::kSupervised ? "LMKG-S"
+                                                             : "LMKG-U");
+    core::Lmkg original(graph_, config);
+    original.BuildModels();
+    // Load needs an un-built framework, so each attempt gets a fresh one;
+    // un-built, it has no estimates, which a failed Load must preserve.
+    std::unique_ptr<core::Lmkg> target;
+    ReplayCorruptions(
+        Saved(original),
+        {[&](const std::string& bytes) {
+           target = std::make_unique<core::Lmkg>(graph_, config);
+           return LoadBytes(*target, bytes);
+         },
+         [&] {
+           return target == nullptr || target->num_models() == 0
+                      ? std::vector<double>{}
+                      : EstimatesOf(*target, probes);
+         },
+         [&] { target.reset(); }});
+  }
+}
+
+TEST_F(CorruptionReplayTest, AdaptiveLmkgSnapshot) {
+  core::AdaptiveLmkg donor_a(graph_, AdaptiveConfig(3));
+  core::AdaptiveLmkg donor_b(graph_, AdaptiveConfig(4));
+  std::vector<query::Query> probes = Probes(Topology::kStar, 2, 6, 31);
+  for (auto& q : Probes(Topology::kChain, 2, 6, 37)) probes.push_back(q);
+  for (auto& q : Probes(Topology::kStar, 1, 3, 41)) probes.push_back(q);
+  for (auto& q : Probes(Topology::kChain, 3, 3, 43)) probes.push_back(q);
+  // Monitor entries make the container prefix worth sweeping too.
+  for (const query::Query& q : probes) donor_a.EstimateCardinality(q);
+  const std::string pristine_b = Saved(donor_b);
+
+  core::AdaptiveLmkgConfig empty = AdaptiveConfig(3);
+  empty.initial_combos.clear();
+  core::AdaptiveLmkg target(graph_, empty);
+  ASSERT_TRUE(LoadBytes(target, pristine_b).ok());
+  ReplayCorruptions(
+      Saved(donor_a),
+      {[&](const std::string& bytes) { return LoadBytes(target, bytes); },
+       [&] { return EstimatesOf(target, probes); },
+       [&] { ASSERT_TRUE(LoadBytes(target, pristine_b).ok()); }});
+}
+
+TEST_F(CorruptionReplayTest, RangeLmkgS) {
+  range::PredicateHistograms histograms(graph_, 8);
+  const auto make = [&](uint64_t seed) {
+    core::LmkgSConfig config;
+    config.hidden_dim = 16;
+    config.epochs = 3;
+    config.seed = seed;
+    return std::make_unique<range::RangeLmkgS>(
+        std::make_unique<range::RangeQueryEncoder>(
+            encoding::MakeSgEncoder(graph_, 3, 2,
+                                    encoding::TermEncoding::kBinary),
+            &histograms, 2),
+        config);
+  };
+  range::RangeWorkloadGenerator generator(graph_);
+  range::RangeWorkloadGenerator::Options options;
+  options.query_size = 2;
+  options.count = 80;
+  const auto train = generator.Generate(options);
+  ASSERT_GE(train.size(), 12u);
+  auto model_a = make(3);
+  model_a->Train(train);
+  auto model_b = make(4);
+  model_b->Train(train);
+  const std::string pristine_b = Saved(*model_b);
+
+  auto target = make(4);
+  ASSERT_TRUE(LoadBytes(*target, pristine_b).ok());
+  ReplayCorruptions(
+      Saved(*model_a),
+      {[&](const std::string& bytes) { return LoadBytes(*target, bytes); },
+       [&] {
+         std::vector<double> out;
+         for (size_t i = 0; i < 12; ++i)
+           out.push_back(target->EstimateCardinality(train[i].query));
+         return out;
+       },
+       [&] { ASSERT_TRUE(LoadBytes(*target, pristine_b).ok()); }});
+}
+
+// A snapshot whose monitor entry count is patched to 0xFFFFFFFF runs
+// into the end of the stream one entry in, instead of sizing a vector of
+// four billion entries.
+TEST_F(CorruptionReplayTest, AdaptiveHugeMonitorCountFailsCleanly) {
+  core::AdaptiveLmkg donor(graph_, AdaptiveConfig(3));
+  std::string bytes = Saved(donor);
+  // LMKA layout: magic, version (u32 each), models created,
+  // observations (u64 each), total weight (f64), then the entry count.
+  const uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + 32, &huge, sizeof(huge));
+  core::AdaptiveLmkgConfig empty = AdaptiveConfig(3);
+  empty.initial_combos.clear();
+  core::AdaptiveLmkg target(graph_, empty);
+  const util::Status status = LoadBytes(target, bytes);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("monitor"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(target.num_models(), 0u);
+}
+
 }  // namespace
 }  // namespace lmkg
-

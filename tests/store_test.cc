@@ -15,7 +15,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <numeric>
@@ -182,6 +184,23 @@ TEST_F(StoreTest, MappedReplicaMatchesDonorAndStreamedSnapshot) {
   // weights straight out of the mapping.
   auto store = OpenStore();
   EXPECT_EQ(store->num_segments(), 2u);
+
+  // One format: each store file is, byte for byte, the segment the
+  // snapshot streams for that combo, but for the epoch the store stamps
+  // at bytes [32, 40) of the header (nn/serialize.h layout).
+  for (const Combo& combo : donor.ModelCombos()) {
+    const auto info = store->Find("default", ToComboKey(combo));
+    ASSERT_TRUE(info.has_value());
+    std::string file = ReadAll(dir_ + "/" + info->file);
+    ASSERT_GE(file.size(), 40u);
+    uint64_t epoch = 0;
+    std::memcpy(&epoch, file.data() + 32, sizeof(epoch));
+    EXPECT_EQ(epoch, info->epoch);
+    std::fill(file.begin() + 32, file.begin() + 40, '\0');
+    EXPECT_NE(blob.str().find(file), std::string::npos)
+        << "store segment for " << query::TopologyName(combo.topology)
+        << "-" << combo.size << " differs from the streamed one";
+  }
   StoreCache cache(*store, StoreCache::Options{});
   core::AdaptiveLmkg mapped(graph_, EmptyConfig());
   util::Status status = AttachReplica(&cache, "default", &mapped);
