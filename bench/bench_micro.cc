@@ -1,6 +1,6 @@
 // Micro benchmarks (google-benchmark) of the performance-critical pieces:
 // graph index lookups, exact counting, query encoding, NN forward/
-// backward, ResMADE conditionals and the samplers.
+// backward, ResMADE conditionals, the samplers and the result-cache probe.
 #include <benchmark/benchmark.h>
 
 #include "core/lmkg_s.h"
@@ -20,6 +20,8 @@
 #include "sampling/composite.h"
 #include "sampling/population.h"
 #include "sampling/workload.h"
+#include "serving/query_cache.h"
+#include "serving/serving_stats.h"
 
 namespace {
 
@@ -334,6 +336,41 @@ void BM_WorkloadMonitorObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadMonitorObserve);
+
+// The cache-probe stage of a served cache hit, fingerprinting excluded:
+// one QueryCache lookup plus the two ServingStats records the service
+// makes for a hit. 400 resident fingerprints (the bench/e2e pool) in one
+// serving shard's slice of the production cache (65536 over 2 shards).
+// Threads(2) probes one shared cache and collector, as two closed-loop
+// clients of one shard do.
+void BM_QueryCacheHit(benchmark::State& state) {
+  struct Shared {
+    serving::QueryCache cache{serving::QueryCacheConfig{32768}};
+    serving::ServingStats stats;
+    std::vector<query::Fingerprint> fps;
+  };
+  static Shared* const shared = [] {
+    auto* s = new Shared;
+    util::Pcg32 rng(5);
+    for (size_t i = 0; i < 400; ++i) {
+      const query::Fingerprint fp{rng.Next64(), rng.Next64()};
+      s->cache.Insert(fp, 0, static_cast<double>(i));
+      s->fps.push_back(fp);
+    }
+    return s;
+  }();
+  size_t i = static_cast<size_t>(state.thread_index()) * 97;
+  for (auto _ : state) {
+    double value = 0.0;
+    benchmark::DoNotOptimize(
+        shared->cache.Lookup(shared->fps[i % shared->fps.size()], 0, &value));
+    shared->stats.RecordCacheHit();
+    shared->stats.RecordRequest(0.5);
+    benchmark::DoNotOptimize(value);
+    ++i;
+  }
+}
+BENCHMARK(BM_QueryCacheHit)->Threads(1)->Threads(2);
 
 }  // namespace
 

@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
   // whatever is queued (pure natural batching: fill grows with load);
   // "delay200" holds batches open up to 200us (trades latency for fill —
   // pays off in the open-loop section, taxes a closed loop); "cached"
-  // is greedy plus the fingerprint LRU in front — the production config
+  // is greedy plus the result cache in front — the production config
   // and the one CI gates.
   const std::vector<BatcherConfig> configs = {
       {"greedy", 64, 0, false},

@@ -215,11 +215,16 @@ void JoinPlanner::PriceMasks(const query::Query& q,
                              std::span<const uint64_t> masks,
                              double* cards) {
   pending_masks_.clear();
+  pending_fps_.clear();
   for (size_t i = 0; i < masks.size(); ++i) {
-    if (config_.use_memo &&
-        memo_.Lookup(SubsetFp(q, masks[i]), &cards[i])) {
-      ++plan_.memo_hits;
-      continue;
+    if (config_.use_memo) {
+      // Kept for the insert below, so each miss is fingerprinted once.
+      const query::Fingerprint fp = SubsetFp(q, masks[i]);
+      if (memo_.Lookup(fp, &cards[i])) {
+        ++plan_.memo_hits;
+        continue;
+      }
+      pending_fps_.push_back(fp);
     }
     cards[i] = -1.0;  // marker: to price
     pending_masks_.push_back(masks[i]);
@@ -251,8 +256,9 @@ void JoinPlanner::PriceMasks(const query::Query& q,
   size_t next = 0;
   for (size_t i = 0; i < masks.size(); ++i) {
     if (cards[i] >= 0.0) continue;
-    cards[i] = pending_results_[next++];
-    if (config_.use_memo) memo_.Insert(SubsetFp(q, masks[i]), cards[i]);
+    cards[i] = pending_results_[next];
+    if (config_.use_memo) memo_.Insert(pending_fps_[next], cards[i]);
+    ++next;
   }
 }
 

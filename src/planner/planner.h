@@ -239,6 +239,7 @@ class JoinPlanner {
   std::vector<uint8_t> conn_;                // connectivity per cell
   std::vector<double> sub_card_;             // cardinality per cell
   std::vector<uint64_t> pending_masks_;      // memo misses to price
+  std::vector<query::Fingerprint> pending_fps_;  // their fingerprints
   std::vector<query::Query> pending_queries_;
   std::vector<double> pending_results_;
   std::vector<double> price_out_;            // PriceMasks result buffer

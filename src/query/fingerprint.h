@@ -40,12 +40,11 @@ struct Fingerprint {
   /// Stable 64-bit routing hash for shard selection (serving routes a
   /// query to `ShardHash() % num_shards`). Mixes BOTH lanes through a
   /// full avalanche so it stays statistically independent of consumers
-  /// that slice raw lane bits (the per-shard result cache masks `hi` for
-  /// its sub-shard and buckets on `lo`) — a shard's cache still spreads
-  /// over all of its sub-shards. Deterministic across processes and
-  /// runs: equal fingerprints (isomorphic queries) always route to the
-  /// same shard, so a query's cache entry, batcher, and replica live
-  /// together.
+  /// that slice raw lane bits (the per-shard result cache picks its
+  /// bucket from `lo`) — a shard's cache still spreads over all of its
+  /// buckets. Deterministic across processes and runs: equal
+  /// fingerprints (isomorphic queries) always route to the same shard,
+  /// so a query's cache entry, batcher, and replica live together.
   uint64_t ShardHash() const {
     // splitmix64 finalizer over a lane combination that keeps hi and lo
     // both load-bearing.

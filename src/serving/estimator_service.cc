@@ -10,11 +10,6 @@ namespace lmkg::serving {
 
 namespace {
 
-// Independently-locked sub-shards inside each serving shard's cache
-// slice: concurrent CLIENT threads of one shard contend on lookup, not
-// the shard worker.
-constexpr size_t kCacheSubShards = 8;
-
 ServiceConfig Sanitize(ServiceConfig config) {
   config.max_batch_size = std::max<size_t>(config.max_batch_size, 1);
   // A ring smaller than one batch would back-pressure producers before a
@@ -37,7 +32,7 @@ EstimatorService::Shard::Shard(
     size_t tap_capacity_in)
     : ring(config.ring_capacity),
       replica(std::move(model)),
-      cache(QueryCacheConfig{cache_capacity, kCacheSubShards}),
+      cache(QueryCacheConfig{cache_capacity}),
       tap_capacity(tap_capacity_in) {
   tap.reserve(tap_capacity);
 }
@@ -322,7 +317,7 @@ void EstimatorService::Complete(
   // served at the new epoch (a fresh value tagged conservatively old
   // costs one extra miss — harmless). Skip the insert outright when the
   // epoch already moved on — an unservable entry would only displace a
-  // live one from the LRU. The load is racy by nature (the epoch may
+  // live one from its bucket. The load is racy by nature (the epoch may
   // bump right after), which only readmits the harmless tagged-old case.
   if (request->cacheable &&
       request->epoch == epoch_.load(std::memory_order_acquire))

@@ -254,9 +254,10 @@ class EstimatorService {
   ///                lifecycle's DrainWorkloadSamples; never nested.
   ///   ring         lock-free; its internal park_mu_ is leaf-level by
   ///                construction (MpscRing takes no external locks).
-  ///   cache        QueryCache's per-sub-shard mutexes, leaf-level —
-  ///                taken with no shard lock held and release before
-  ///                returning to the caller.
+  ///   cache        lock-free on a hit (seqlock read); its writer mutex
+  ///                (inserts, stale evictions, growth — misses only) is
+  ///                leaf-level, taken with no shard lock held and
+  ///                released before returning to the caller.
   ///
   /// Because no two of these are ever held together, lock-order cycles
   /// are impossible by construction; the annotations below let Clang

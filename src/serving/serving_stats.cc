@@ -2,23 +2,42 @@
 
 namespace lmkg::serving {
 
+void ServingStats::AddStripe(const Stripe& from, Stripe* into) {
+  // See MergeFrom in the header for why this read order is load-bearing.
+  into->latency.MergeFrom(from.latency);
+  const uint64_t batched =
+      from.batched_requests.load(std::memory_order_acquire);
+  into->batches.fetch_add(from.batches.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+  into->batched_requests.fetch_add(batched, std::memory_order_relaxed);
+  into->cache_hits.fetch_add(from.cache_hits.load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+  into->cache_misses.fetch_add(
+      from.cache_misses.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
+  into->fallback_served.fetch_add(
+      from.fallback_served.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
+  into->requests.fetch_add(from.requests.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+}
+
 ServingStatsSnapshot ServingStats::Snapshot() const {
+  // Every stripe is read in MergeFrom's order, so each stripe's batch
+  // fill is bounded by the true fill and the sums are too: under live
+  // traffic mean_batch_fill can under-report but never exceed
+  // max_batch_size, and the hit rate stays <= 1.0.
+  Stripe total;
+  for (const Stripe& stripe : stripes_) AddStripe(stripe, &total);
   ServingStatsSnapshot snap;
-  // batched_requests_ (acquire) before batches_: pairs with
-  // RecordBatch's release so every fill counted in the numerator has its
-  // batch visible in the denominator — mean_batch_fill can transiently
-  // under-report under live traffic but never exceed the true fill (or
-  // max_batch_size). Hits before misses is free to interleave: the hit
-  // rate divides by (hits + misses) with the same hits sample embedded
-  // in the denominator, so it is structurally <= 1.0.
   snap.batched_requests =
-      batched_requests_.load(std::memory_order_acquire);
-  snap.batches = batches_.load(std::memory_order_relaxed);
-  snap.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  snap.cache_misses = cache_misses_.load(std::memory_order_relaxed);
+      total.batched_requests.load(std::memory_order_relaxed);
+  snap.batches = total.batches.load(std::memory_order_relaxed);
+  snap.cache_hits = total.cache_hits.load(std::memory_order_relaxed);
+  snap.cache_misses = total.cache_misses.load(std::memory_order_relaxed);
   snap.feedback_fallback_served =
-      fallback_served_.load(std::memory_order_relaxed);
-  snap.requests = requests_.load(std::memory_order_relaxed);
+      total.fallback_served.load(std::memory_order_relaxed);
+  snap.requests = total.requests.load(std::memory_order_relaxed);
   snap.window_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     window_start_)
@@ -32,32 +51,17 @@ ServingStatsSnapshot ServingStats::Snapshot() const {
   if (looked_up > 0)
     snap.cache_hit_rate = static_cast<double>(snap.cache_hits) /
                           static_cast<double>(looked_up);
-  snap.p50_us = latency_.PercentileUs(0.50);
-  snap.p95_us = latency_.PercentileUs(0.95);
-  snap.p99_us = latency_.PercentileUs(0.99);
-  snap.mean_us = latency_.MeanUs();
-  snap.max_us = latency_.MaxUs();
+  snap.p50_us = total.latency.PercentileUs(0.50);
+  snap.p95_us = total.latency.PercentileUs(0.95);
+  snap.p99_us = total.latency.PercentileUs(0.99);
+  snap.mean_us = total.latency.MeanUs();
+  snap.max_us = total.latency.MaxUs();
   return snap;
 }
 
 void ServingStats::MergeFrom(const ServingStats& other) {
-  // See the header for why this read order is load-bearing.
-  latency_.MergeFrom(other.latency_);
-  const uint64_t batched =
-      other.batched_requests_.load(std::memory_order_acquire);
-  batches_.fetch_add(other.batches_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  batched_requests_.fetch_add(batched, std::memory_order_relaxed);
-  cache_hits_.fetch_add(other.cache_hits_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  cache_misses_.fetch_add(
-      other.cache_misses_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  fallback_served_.fetch_add(
-      other.fallback_served_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  requests_.fetch_add(other.requests_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+  for (const Stripe& stripe : other.stripes_)
+    AddStripe(stripe, &stripes_[0]);
   // The merged window spans from the earliest shard's window start, so
   // rolled-up qps divides total requests by the full observation span.
   if (other.window_start_ < window_start_)
@@ -65,13 +69,15 @@ void ServingStats::MergeFrom(const ServingStats& other) {
 }
 
 void ServingStats::Reset() {
-  latency_.Reset();
-  requests_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
-  batches_.store(0, std::memory_order_relaxed);
-  batched_requests_.store(0, std::memory_order_relaxed);
-  fallback_served_.store(0, std::memory_order_relaxed);
+  for (Stripe& stripe : stripes_) {
+    stripe.latency.Reset();
+    stripe.requests.store(0, std::memory_order_relaxed);
+    stripe.cache_hits.store(0, std::memory_order_relaxed);
+    stripe.cache_misses.store(0, std::memory_order_relaxed);
+    stripe.batches.store(0, std::memory_order_relaxed);
+    stripe.batched_requests.store(0, std::memory_order_relaxed);
+    stripe.fallback_served.store(0, std::memory_order_relaxed);
+  }
   window_start_ = std::chrono::steady_clock::now();
 }
 

@@ -1,8 +1,10 @@
 #ifndef LMKG_SERVING_SERVING_STATS_H_
 #define LMKG_SERVING_SERVING_STATS_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/histogram.h"
@@ -43,42 +45,54 @@ struct ServingStatsSnapshot {
 };
 
 /// Thread-safe serving metrics collector: per-request end-to-end latency
-/// into a fixed-bucket util::LatencyHistogram plus wait-free counters for
+/// into fixed-bucket util::LatencyHistograms plus wait-free counters for
 /// throughput, batch fill, and cache effectiveness. Record* methods are
 /// called concurrently from client and worker threads; Snapshot is cheap
 /// enough to poll. Reset is not safe against concurrent recording —
 /// quiesce first (the bench resets between timed sections).
 ///
+/// Every recording goes to the calling thread's stripe: kStripes
+/// cache-line-aligned copies of the six counters and the histogram. A
+/// thread picks its stripe once, round-robin, on first use, so up to
+/// kStripes recording threads never write a cache line another one
+/// writes; readers sum the stripes.
+///
 /// There is no mutex here and hence nothing for the thread-safety
-/// analysis to check: every member is an atomic (or the histogram's
+/// analysis to check: every member is an atomic (or the histograms'
 /// atomics), and the one ordering subtlety — RecordBatch's release store
-/// pairing with MergeFrom's acquire — is documented at those two sites
-/// and exercised under TSan by the `threaded` serving suite.
+/// pairing with the readers' acquire — is documented at those sites and
+/// exercised under TSan by the `threaded` serving suite.
 class ServingStats {
  public:
+  /// Fixed, not a knob: enough that a closed loop's clients and shard
+  /// workers rarely share one.
+  static constexpr size_t kStripes = 16;
+
   ServingStats() { Reset(); }
 
   void RecordRequest(double latency_us) {
-    latency_.Record(latency_us);
-    requests_.fetch_add(1, std::memory_order_relaxed);
+    Stripe& s = Mine();
+    s.latency.Record(latency_us);
+    s.requests.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordCacheHit() {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    Mine().cache_hits.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordCacheMiss() {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    Mine().cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordFallbackServed() {
-    fallback_served_.fetch_add(1, std::memory_order_relaxed);
+    Mine().fallback_served.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordBatch(size_t fill) {
-    // batches_ first, and the batched_requests_ add is a release: a
-    // reader that acquires a batched_requests_ value is then guaranteed
-    // to observe the batches_ increment of every fill it counted, which
+    // batches first, and the batched_requests add is a release: a
+    // reader that acquires a batched_requests value is then guaranteed
+    // to observe the batches increment of every fill it counted, which
     // is what lets Snapshot/MergeFrom bound mean_batch_fill at the true
     // value (see MergeFrom).
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_requests_.fetch_add(fill, std::memory_order_release);
+    Stripe& s = Mine();
+    s.batches.fetch_add(1, std::memory_order_relaxed);
+    s.batched_requests.fetch_add(fill, std::memory_order_release);
   }
 
   ServingStatsSnapshot Snapshot() const;
@@ -90,27 +104,44 @@ class ServingStats {
   /// Record* on `other`; the destination must be private to the caller.
   ///
   /// Counter read ordering (load-bearing, do not reorder): within each
-  /// merged shard, `batched_requests` is acquired FIRST and pairs with
+  /// merged stripe, `batched_requests` is acquired FIRST and pairs with
   /// RecordBatch's release increment — every fill visible in the
   /// numerator sample has its batch visible in the `batches` read that
   /// follows, so a mid-flight RecordBatch lands in the denominator but
   /// never only in the numerator and mean_batch_fill cannot transiently
   /// exceed the true fill. Hit rate is derived as hits / (hits +
   /// misses), whose denominator embeds the very hits sample in the
-  /// numerator — structurally <= 1.0 however the per-shard reads
+  /// numerator — structurally <= 1.0 however the per-stripe reads
   /// interleave with live traffic. `requests` is read last so qps
   /// (requests over the merged window) never counts a request whose
   /// latency sample has not landed yet.
   void MergeFrom(const ServingStats& other);
 
  private:
-  util::LatencyHistogram latency_;
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_requests_{0};
-  std::atomic<uint64_t> fallback_served_{0};
+  struct alignas(64) Stripe {
+    util::LatencyHistogram latency;
+    std::atomic<uint64_t> requests{0};
+    std::atomic<uint64_t> cache_hits{0};
+    std::atomic<uint64_t> cache_misses{0};
+    std::atomic<uint64_t> batches{0};
+    std::atomic<uint64_t> batched_requests{0};
+    std::atomic<uint64_t> fallback_served{0};
+  };
+
+  Stripe& Mine() { return stripes_[ThreadStripe()]; }
+  // The same index in every collector, chosen on the thread's first
+  // recording (kStripes marks "not chosen yet").
+  static size_t ThreadStripe() {
+    static std::atomic<size_t> next{0};
+    thread_local size_t stripe = kStripes;
+    if (stripe == kStripes)
+      stripe = next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+    return stripe;
+  }
+  // Adds `from`'s counters into `into` in the documented read order.
+  static void AddStripe(const Stripe& from, Stripe* into);
+
+  std::array<Stripe, kStripes> stripes_;
   std::chrono::steady_clock::time_point window_start_;
 };
 

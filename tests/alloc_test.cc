@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "query/fingerprint.h"
 #include "query/query.h"
 #include "sampling/workload.h"
+#include "serving/estimator_service.h"
+#include "serving/query_cache.h"
 #include "store/model_store.h"
 #include "store/replica_attach.h"
 #include "store/store_cache.h"
@@ -204,6 +207,62 @@ TEST_F(AllocationTest, WarmDpEnumerationRoundIsAllocationFree) {
   }
   EXPECT_EQ(lmkg::testing::AllocationCount() - before, 0u);
   EXPECT_GT(accumulated, 0.0);
+}
+
+// --- serving -----------------------------------------------------------------
+
+// A stand-in model: these pins are about the serving path, not the network.
+class FingerprintHashEstimator : public core::CardinalityEstimator {
+ public:
+  double EstimateCardinality(const Query& q) override {
+    return static_cast<double>(
+        query::ComputeFingerprint(q, &scratch_).lo % 99991);
+  }
+  bool CanEstimate(const Query& /*q*/) const override { return true; }
+  std::string name() const override { return "fingerprint-hash"; }
+  size_t MemoryBytes() const override { return 0; }
+
+ private:
+  query::FingerprintScratch scratch_;
+};
+
+// A warm cache hit allocates nothing: the fingerprint scratch is warm,
+// the probe is a seqlock read, and the stats stripe is preallocated.
+TEST_F(AllocationTest, WarmCacheHitEstimateIsAllocationFree) {
+  std::vector<std::unique_ptr<core::CardinalityEstimator>> replicas;
+  replicas.push_back(std::make_unique<FingerprintHashEstimator>());
+  serving::ServiceConfig config;
+  config.cache_capacity = 1024;
+  serving::EstimatorService service(std::move(replicas), config);
+  for (int pass = 0; pass < 2; ++pass)  // misses fill the cache, then hits
+    for (const Query& q : mixed_) (void)service.Estimate(q);
+  const uint64_t hits_before = service.Stats().cache_hits;
+  const size_t before = lmkg::testing::AllocationCount();
+  double sum = 0.0;
+  for (const Query& q : mixed_) sum += service.Estimate(q);
+  EXPECT_EQ(lmkg::testing::AllocationCount() - before, 0u);
+  EXPECT_EQ(service.Stats().cache_hits - hits_before, mixed_.size());
+  EXPECT_GT(sum, 0.0);
+}
+
+// Once the table has reached its final size, a miss's Insert evicts in
+// place and allocates nothing.
+TEST_F(AllocationTest, CacheInsertAtFinalSizeIsAllocationFree) {
+  constexpr size_t kCapacity = 256;
+  serving::QueryCache cache(serving::QueryCacheConfig{kCapacity});
+  const auto fp = [](uint64_t i) {
+    return query::Fingerprint{i, i * 0x9e3779b97f4a7c15ull};
+  };
+  uint64_t next = 0;
+  while (cache.slots() < kCapacity) {
+    cache.Insert(fp(next), 0, static_cast<double>(next));
+    ++next;
+  }
+  const size_t before = lmkg::testing::AllocationCount();
+  for (uint64_t end = next + 4 * kCapacity; next < end; ++next)
+    cache.Insert(fp(next), 0, static_cast<double>(next));
+  EXPECT_EQ(lmkg::testing::AllocationCount() - before, 0u);
+  EXPECT_LE(cache.size(), kCapacity);
 }
 
 // End-to-end: a trained LMKG-S serving a warm batch allocates nothing —

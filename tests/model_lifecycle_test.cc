@@ -42,7 +42,7 @@ using query::Topology;
 // --- epoch-tagged QueryCache -------------------------------------------------
 
 TEST(EpochCacheTest, StaleEpochEntryMissesAndIsEvicted) {
-  QueryCache cache(QueryCacheConfig{64, 1});
+  QueryCache cache(QueryCacheConfig{64});
   const query::Fingerprint fp{1, 2};
   cache.Insert(fp, /*epoch=*/0, 10.0);
   double value = 0.0;
@@ -60,7 +60,7 @@ TEST(EpochCacheTest, StaleEpochEntryMissesAndIsEvicted) {
 }
 
 TEST(EpochCacheTest, LateStaleInsertCannotResurrectOldValue) {
-  QueryCache cache(QueryCacheConfig{64, 1});
+  QueryCache cache(QueryCacheConfig{64});
   const query::Fingerprint fp{3, 4};
   cache.Insert(fp, /*epoch=*/1, 20.0);
   // A slow pre-swap computation lands after the swap: tagged epoch 0, it
@@ -72,7 +72,7 @@ TEST(EpochCacheTest, LateStaleInsertCannotResurrectOldValue) {
 }
 
 TEST(EpochCacheTest, SameEpochInsertRefreshes) {
-  QueryCache cache(QueryCacheConfig{64, 1});
+  QueryCache cache(QueryCacheConfig{64});
   const query::Fingerprint fp{5, 6};
   cache.Insert(fp, 2, 1.0);
   cache.Insert(fp, 2, 2.0);
@@ -80,6 +80,137 @@ TEST(EpochCacheTest, SameEpochInsertRefreshes) {
   ASSERT_TRUE(cache.Lookup(fp, 2, &value));
   EXPECT_DOUBLE_EQ(value, 2.0);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// --- set-associative QueryCache ---------------------------------------------
+
+// Distinct fingerprints whose lo lanes come in pairs: the two of a pair
+// land in the same bucket and differ only in hi.
+query::Fingerprint TestFp(uint64_t i) {
+  const auto mix = [](uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  };
+  return query::Fingerprint{mix(i), mix(i / 2)};
+}
+
+// Values name the fingerprint and the epoch they were inserted at, so a
+// reader can check both.
+constexpr uint64_t kEpochSpan = 1 << 16;
+double EncodeValue(uint64_t fp_index, uint64_t epoch) {
+  return static_cast<double>(fp_index * kEpochSpan + epoch);
+}
+
+// K threads look up and insert over a shared key set while another thread
+// keeps advancing the epoch. The cache holds fewer entries than the key
+// set, so lookups race growth, CLOCK eviction, refreshes and stale
+// evictions. A hit must carry its own fingerprint's value, inserted at
+// the asked-for epoch or later.
+TEST(QueryCacheStressTest, HitsNeverCrossFingerprintsOrGoStale) {
+  QueryCache cache(QueryCacheConfig{256});
+  constexpr uint64_t kKeys = 512;
+  constexpr uint64_t kEpochs = 200;
+  constexpr size_t kThreads = 4;
+  std::atomic<uint64_t> epoch{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> bad_fp{0};
+  std::atomic<uint64_t> bad_epoch{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      util::Pcg32 rng(77 + t);
+      while (!stop.load(std::memory_order_acquire)) {
+        const uint64_t i = rng.UniformInt(static_cast<uint32_t>(kKeys));
+        const uint64_t e = epoch.load(std::memory_order_acquire);
+        double value = 0.0;
+        if (cache.Lookup(TestFp(i), e, &value)) {
+          const auto bits = static_cast<uint64_t>(value);
+          if (bits / kEpochSpan != i) bad_fp.fetch_add(1);
+          if (bits % kEpochSpan < e) bad_epoch.fetch_add(1);
+          hits.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          cache.Insert(TestFp(i), e, EncodeValue(i, e));
+        }
+      }
+    });
+  }
+  for (uint64_t e = 1; e <= kEpochs; ++e) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    epoch.store(e, std::memory_order_release);
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(bad_fp.load(), 0u);
+  EXPECT_EQ(bad_epoch.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_GT(cache.stale_evictions(), 0u);
+  EXPECT_LE(cache.size(), 256u);
+}
+
+// Growth copies the whole table: every entry resident before a
+// doubling is still there after it, with its value. Past the final size,
+// CLOCK keeps size() at or under the capacity.
+TEST(QueryCacheTest, EveryEntrySurvivesEachDoubling) {
+  constexpr size_t kCapacity = 4096;
+  QueryCache cache(QueryCacheConfig{kCapacity});
+  EXPECT_LT(cache.slots(), kCapacity);  // starts small
+  std::vector<uint64_t> resident;
+  size_t doublings = 0;
+  uint64_t i = 0;
+  for (; cache.slots() < kCapacity; ++i) {
+    const size_t slots_before = cache.slots();
+    const size_t size_before = cache.size();
+    cache.Insert(TestFp(i), 0, EncodeValue(i, 0));
+    if (cache.slots() != slots_before) {
+      EXPECT_GE(cache.slots(), 2 * slots_before);
+      ++doublings;
+      for (uint64_t j : resident) {
+        double value = 0.0;
+        ASSERT_TRUE(cache.Lookup(TestFp(j), 0, &value))
+            << "entry " << j << " lost growing to " << cache.slots();
+        EXPECT_EQ(value, EncodeValue(j, 0));
+      }
+    }
+    if (cache.size() == size_before + 1) {
+      resident.push_back(i);
+      continue;
+    }
+    // The insert evicted: find out what is still there.
+    resident.clear();
+    for (uint64_t j = 0; j <= i; ++j) {
+      double value = 0.0;
+      if (cache.Lookup(TestFp(j), 0, &value)) resident.push_back(j);
+    }
+    ASSERT_EQ(resident.size(), cache.size());
+  }
+  EXPECT_GE(doublings, 5u);
+  EXPECT_EQ(cache.slots(), kCapacity);
+  for (uint64_t end = i + 3 * kCapacity; i < end; ++i) {
+    cache.Insert(TestFp(i), 0, EncodeValue(i, 0));
+    ASSERT_LE(cache.size(), kCapacity);
+  }
+  EXPECT_EQ(cache.slots(), kCapacity);
+}
+
+// A working set far below the capacity stays resident: one pass of
+// inserts, then every lookup hits.
+TEST(QueryCacheTest, SmallWorkingSetAllHitsAfterOnePass) {
+  QueryCache cache(QueryCacheConfig{65536});
+  constexpr uint64_t kEntries = 400;
+  for (uint64_t i = 0; i < kEntries; ++i)
+    cache.Insert(TestFp(i), 3, EncodeValue(i, 3));
+  EXPECT_EQ(cache.size(), kEntries);
+  EXPECT_LT(cache.slots(), 65536u);  // memory follows the contents
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    double value = 0.0;
+    ASSERT_TRUE(cache.Lookup(TestFp(i), 3, &value)) << "entry " << i;
+    EXPECT_EQ(value, EncodeValue(i, 3));
+  }
 }
 
 // --- hot swap through EstimatorService ---------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -194,6 +195,68 @@ TEST_F(ServingTest, ConcurrentShuffledClientsMatchSerialPathExactly) {
       EXPECT_GT(stats.cache_hits, 0u);
     }
   }
+}
+
+// More recording threads than stats stripes, so threads share stripes:
+// after join the rolled-up counters are exact, and a poller reading
+// Stats() during the traffic never sees a batch fill above
+// max_batch_size or a hit rate above 1.
+TEST_F(ServingTest, StatsStayExactAndBoundedAcrossStripes) {
+  ServiceConfig config;
+  config.max_batch_size = 4;
+  config.cache_capacity = 1024;
+  EstimatorService service(Replicas(2), config);
+
+  const size_t kClients = 3 * ServingStats::kStripes;
+  constexpr size_t kRounds = 3;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> polls{0};
+  std::atomic<uint64_t> fill_over{0};
+  std::atomic<uint64_t> rate_over{0};
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const ServingStatsSnapshot live = service.Stats();
+      if (live.mean_batch_fill >
+          static_cast<double>(config.max_batch_size))
+        fill_over.fetch_add(1);
+      if (live.cache_hit_rate > 1.0) rate_over.fetch_add(1);
+      polls.fetch_add(1);
+    }
+  });
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<size_t> order(workload_.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      util::Pcg32 rng(300 + c);
+      for (size_t round = 0; round < kRounds; ++round) {
+        rng.Shuffle(&order);
+        for (size_t i : order)
+          if (service.Estimate(workload_[i]) != expected_[i])
+            wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(polls.load(), 0u);
+  EXPECT_EQ(fill_over.load(), 0u);
+  EXPECT_EQ(rate_over.load(), 0u);
+  const ServingStatsSnapshot stats = service.Stats();
+  const uint64_t total = kClients * kRounds * workload_.size();
+  EXPECT_EQ(stats.requests, total);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, total);
+  EXPECT_GT(stats.cache_hits, 0u);
+  // Every miss is computed exactly once, inline or in a batch.
+  EXPECT_EQ(stats.batched_requests, stats.cache_misses);
+  EXPECT_EQ(stats.feedback_fallback_served, 0u);
+  EXPECT_LE(stats.mean_batch_fill,
+            static_cast<double>(config.max_batch_size));
 }
 
 TEST_F(ServingTest, MicroBatcherDispatchesOnFullBatch) {
