@@ -1,5 +1,5 @@
-// Serving-subsystem benchmark: closed-loop and open-loop load generation
-// over an LUBM workload through serving::EstimatorService — the
+// Serving-subsystem benchmark: closed-loop load generation over an LUBM
+// workload through serving::EstimatorService — the
 // concurrent-request shape the batched pipeline was built for. Clients
 // submit single queries; the service micro-batches them into the LMKG-S
 // EstimateCardinalityBatch fast path across model replicas, optionally
@@ -10,18 +10,6 @@
 // loop shape) — sweeps client counts x batcher configs and reports
 // achieved qps, p50/p95/p99 end-to-end latency, mean batch fill, and
 // cache hit rate, against the serial per-query loop baseline.
-//
-// Open loop: a dispatcher submits EstimateAsync at a fixed arrival rate
-// regardless of completions (the heavy-traffic shape), showing how the
-// coalescing delay trades tail latency for batch fill below saturation.
-//
-// Workload shift: the model-lifecycle scenario — AdaptiveLmkg replicas
-// covering only star combos serve a client stream that shifts to chains;
-// a serving::ModelLifecycle cycle detects the drift from the service's
-// workload tap, trains the missing chain models on a shadow replica off
-// the serving path, hot-swaps the replicas, and bumps the cache epoch.
-// Reports chain qps and median q-error before vs after the swap,
-// adaptation cost, and stale-cache evictions.
 //
 // Feedback loop: the executor-feedback scenario — the same drift is run
 // TWICE over a fixed star-2 working set the model has never seen: once
@@ -83,7 +71,6 @@
 //   --out=PATH    JSON output path (default BENCH_serving.json)
 #include <algorithm>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -228,35 +215,6 @@ RunResult RunClosedLoop(serving::EstimatorService* service,
   return result;
 }
 
-// Open loop: submit EstimateAsync at `target_qps` regardless of
-// completions; the futures' completion is awaited at the end.
-RunResult RunOpenLoop(serving::EstimatorService* service,
-                      const std::vector<query::Query>& queries,
-                      double target_qps, size_t total_requests,
-                      uint64_t seed) {
-  service->ResetStats();
-  std::vector<std::future<double>> futures;
-  futures.reserve(total_requests);
-  util::Pcg32 rng(seed);
-  util::Stopwatch timer;
-  const double interval_s = 1.0 / target_qps;
-  for (size_t i = 0; i < total_requests; ++i) {
-    const double due = static_cast<double>(i) * interval_s;
-    while (timer.ElapsedSeconds() < due) {
-      // Busy-wait keeps the pacing tight at microsecond intervals.
-    }
-    const size_t pick = rng.UniformInt(static_cast<uint32_t>(
-        queries.size()));
-    futures.push_back(service->EstimateAsync(queries[pick]));
-  }
-  for (auto& f : futures) (void)f.get();
-  const double seconds = timer.ElapsedSeconds();
-  RunResult result;
-  result.stats = service->Stats();
-  result.qps = static_cast<double>(total_requests) / seconds;
-  return result;
-}
-
 std::string StatsJson(const RunResult& result) {
   return util::StrFormat(
       "\"qps\": %.1f, \"p50_us\": %.2f, \"p95_us\": %.2f, "
@@ -297,7 +255,8 @@ int main(int argc, char** argv) {
   // Batcher configurations under sweep. "greedy" dispatches with
   // whatever is queued (pure natural batching: fill grows with load);
   // "delay200" holds batches open up to 200us (trades latency for fill —
-  // pays off in the open-loop section, taxes a closed loop); "cached"
+  // pays off under open-loop arrivals, which bench/e2e's serve_open
+  // measures; taxes a closed loop); "cached"
   // is greedy plus the result cache in front — the production config
   // and the one CI gates.
   const std::vector<BatcherConfig> configs = {
@@ -321,11 +280,6 @@ int main(int argc, char** argv) {
   sampling::WorkloadGenerator generator(graph);
   std::vector<sampling::LabeledQuery> train;
   std::vector<query::Query> workload;
-  // Small-size per-topology slices for the workload-shift phase (its
-  // adaptive models train per combo, so it sticks to sizes 2-3).
-  std::vector<query::Query> shift_star_queries;
-  std::vector<query::Query> shift_chain_queries;
-  std::vector<sampling::LabeledQuery> shift_chain_tests;
   size_t combo = 0;
   for (Topology topology : {Topology::kStar, Topology::kChain}) {
     for (int size : options.query_sizes) {
@@ -339,17 +293,8 @@ int main(int argc, char** argv) {
       train.insert(train.end(), labeled.begin(), labeled.end());
       wopts.count = options.test_queries_per_combo;
       wopts.seed = options.seed + 7919 * combo + 104729;
-      for (auto& lq : generator.Generate(wopts)) {
-        if (size <= 3) {
-          if (topology == Topology::kStar) {
-            shift_star_queries.push_back(lq.query);
-          } else {
-            shift_chain_queries.push_back(lq.query);
-            shift_chain_tests.push_back(lq);
-          }
-        }
+      for (auto& lq : generator.Generate(wopts))
         workload.push_back(std::move(lq.query));
-      }
       ++combo;
     }
   }
@@ -462,137 +407,6 @@ int main(int argc, char** argv) {
         "gated uncached qps (greedy, %zu clients, %zu shards, best of "
         "%d): %.0f\n",
         gated_clients, shards, repeats, gated_uncached_qps);
-  }
-
-  // Open loop at fractions of the serial baseline: latency under a
-  // steady arrival stream, no client back-pressure.
-  const std::vector<double> rate_fractions = {0.25, 0.5};
-  std::ostringstream open_json;
-  util::TablePrinter open_table("EstimatorService open loop (LUBM)");
-  open_table.SetHeader(
-      {"target qps", "achieved", "p50 us", "p99 us", "fill"});
-  for (size_t i = 0; i < rate_fractions.size(); ++i) {
-    const double target = serial_qps * rate_fractions[i];
-    const size_t total = std::min<size_t>(
-        workload.size() * static_cast<size_t>(rounds) * 4, 20000);
-    serving::ServiceConfig service_config;
-    service_config.max_batch_size = 64;
-    service_config.max_queue_delay_us = 200;
-    serving::EstimatorService service(factory.Replicas(shards),
-                                      service_config);
-    const RunResult result = RunOpenLoop(&service, workload, target,
-                                         total, options.seed + 2000);
-    open_table.AddRow(
-        util::StrFormat("%.0f", target),
-        {result.qps, result.stats.p50_us, result.stats.p99_us,
-         result.stats.mean_batch_fill});
-    open_json << (i == 0 ? "" : ",\n") << "    {\"target_qps\": "
-              << target << ", " << StatsJson(result) << "}";
-  }
-  open_table.Print(std::cout);
-
-  // Workload shift: the drift -> adapt -> hot-swap loop under traffic.
-  // Replicas are AdaptiveLmkg instances bootstrapped with star models
-  // only; clients settle on stars, then shift to chains. One synchronous
-  // ModelLifecycle cycle (reproducibility — production runs it on a
-  // background thread) drains the tap, trains the chain models on the
-  // shadow off the serving path, swaps the replicas, and bumps the
-  // cache epoch.
-  double shift_pre_qps = 0.0, shift_post_qps = 0.0;
-  double shift_pre_qerr = 0.0, shift_post_qerr = 0.0;
-  double shift_adapt_seconds = 0.0;
-  size_t shift_models_created = 0;
-  uint64_t shift_stale_evictions = 0, shift_epoch = 0;
-  {
-    core::AdaptiveLmkgConfig aconfig;
-    aconfig.s_config.hidden_dim = std::min<size_t>(options.s_hidden_dim, 64);
-    aconfig.s_config.epochs = std::min(options.s_epochs, 6);
-    aconfig.s_config.seed = options.seed;
-    aconfig.train_queries = options.train_queries_per_combo;
-    aconfig.workload_options.max_cardinality = options.max_cardinality;
-    aconfig.monitor.min_observations = 30;
-    aconfig.monitor.decay = 0.98;
-    aconfig.initial_combos = {{Topology::kStar, 2}, {Topology::kStar, 3}};
-    aconfig.seed = options.seed + 5;
-    core::AdaptiveLmkg shadow(graph, aconfig);
-
-    serving::ModelLifecycle::ReplicaFactory replica_factory =
-        serving::MakeAdaptiveReplicaFactory(graph, aconfig);
-    std::ostringstream boot;
-    if (!shadow.Save(boot).ok()) {
-      std::cerr << "[serving] shadow snapshot failed\n";
-      std::exit(1);
-    }
-    std::vector<std::unique_ptr<core::CardinalityEstimator>> areplicas;
-    for (size_t r = 0; r < shards; ++r)
-      areplicas.push_back(replica_factory(boot.str()));
-
-    serving::ServiceConfig shift_config;
-    shift_config.max_batch_size = 64;
-    shift_config.cache_capacity = 65536;
-    shift_config.workload_tap_capacity = 1024;
-    serving::EstimatorService service(std::move(areplicas), shift_config);
-    serving::ModelLifecycleConfig lconfig;
-    lconfig.background = false;
-    lconfig.min_samples_per_cycle = 1;
-    serving::ModelLifecycle lifecycle(&service, &shadow, replica_factory,
-                                      lconfig);
-
-    const size_t shift_clients = 4;
-    // Settle on the star mix; the steady cycle must not churn anything.
-    RunClosedLoop(&service, shift_star_queries, shift_clients, 1,
-                  options.seed + 31);
-    (void)lifecycle.RunOnce();
-
-    // Mixed size order: the monitor weights recent observations, and a
-    // size-sorted pass would make only the trailing combo look hot.
-    {
-      util::Pcg32 rng(options.seed + 37);
-      rng.Shuffle(&shift_chain_tests);
-    }
-    auto median_qerror = [&] {
-      std::vector<double> qerrors;
-      qerrors.reserve(shift_chain_tests.size());
-      for (const auto& lq : shift_chain_tests)
-        qerrors.push_back(
-            util::QError(service.Estimate(lq.query), lq.cardinality));
-      return util::QErrorStats::Compute(std::move(qerrors)).median;
-    };
-
-    const RunResult pre = RunClosedLoop(&service, shift_chain_queries,
-                                        shift_clients, rounds,
-                                        options.seed + 33);
-    shift_pre_qps = pre.qps;
-    shift_pre_qerr = median_qerror();
-
-    util::Stopwatch adapt_timer;
-    const serving::LifecycleReport cycle = lifecycle.RunOnce();
-    shift_adapt_seconds = adapt_timer.ElapsedSeconds();
-    shift_models_created = cycle.adapt.created.size();
-    if (!cycle.swapped)
-      std::cerr << "[serving] WARNING: workload shift did not trigger a "
-                   "swap\n";
-
-    const RunResult post = RunClosedLoop(&service, shift_chain_queries,
-                                         shift_clients, rounds,
-                                         options.seed + 35);
-    shift_post_qps = post.qps;
-    shift_post_qerr = median_qerror();
-    shift_stale_evictions = service.Stats().cache_stale_evictions;
-    shift_epoch = service.epoch();
-
-    util::TablePrinter shift_table(
-        "Workload shift: drift -> adapt -> hot-swap (chains)");
-    shift_table.SetHeader({"phase", "qps", "median q-error"});
-    shift_table.AddRow("pre-swap", {shift_pre_qps, shift_pre_qerr});
-    shift_table.AddRow("post-swap", {shift_post_qps, shift_post_qerr});
-    shift_table.Print(std::cout);
-    std::cout << util::StrFormat(
-        "lifecycle: %zu models trained off-path in %.1fs, epoch %llu, "
-        "%llu stale cache entries evicted\n",
-        shift_models_created, shift_adapt_seconds,
-        static_cast<unsigned long long>(shift_epoch),
-        static_cast<unsigned long long>(shift_stale_evictions));
   }
 
   // Feedback loop: drift onto a FIXED star-2 working set the synthetic
@@ -873,17 +687,6 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"closed_loop\": [\n"
        << closed_json.str() << "\n  ],\n"
-       << "  \"open_loop\": [\n"
-       << open_json.str() << "\n  ],\n"
-       << "  \"workload_shift\": {\"clients\": 4, \"models_created\": "
-       << shift_models_created
-       << ", \"adapt_seconds\": " << shift_adapt_seconds
-       << ", \"pre_swap_chain_qps\": " << shift_pre_qps
-       << ", \"post_swap_chain_qps\": " << shift_post_qps
-       << ", \"pre_swap_chain_median_qerror\": " << shift_pre_qerr
-       << ", \"post_swap_chain_median_qerror\": " << shift_post_qerr
-       << ", \"stale_cache_evictions\": " << shift_stale_evictions
-       << ", \"model_epoch\": " << shift_epoch << "},\n"
        << "  \"feedback_loop\": {\"cycles\": " << fb_cycles
        << ", \"queries\": " << fb_queries
        << ", \"feedback_on_initial_median_qerror\": " << fb_on_curve.front()

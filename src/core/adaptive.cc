@@ -9,10 +9,7 @@
 #include <map>
 #include <ostream>
 
-#include "core/grouped_waves.h"
-#include "encoding/query_encoder.h"
 #include "nn/serialize.h"
-#include "sampling/composite.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -21,57 +18,29 @@ namespace lmkg::core {
 using query::Query;
 using query::Topology;
 
+namespace {
+
+// Whether a combo can have a model: size-1 is answered exactly, and a
+// composite needs >= 3 patterns for a genuine tree workload.
+bool Trainable(const WorkloadMonitor::Combo& combo) {
+  return combo.size >= 2 &&
+         (combo.topology != Topology::kComposite || combo.size >= 3);
+}
+
+}  // namespace
+
 AdaptiveLmkg::AdaptiveLmkg(const rdf::Graph& graph,
                            const AdaptiveLmkgConfig& config)
-    : graph_(graph),
+    : ModelRegistry(graph, config.term_encoding, config.s_config,
+                    config.workload_options, config.verbose),
       config_(config),
-      monitor_(config.monitor),
-      single_pattern_(graph) {
+      monitor_(config.monitor) {
   for (const Combo& combo : config_.initial_combos) {
     LMKG_CHECK(models_.count(combo) == 0)
         << "duplicate initial combo " << TopologyName(combo.topology)
         << "-" << combo.size;
     models_[combo] = TrainSpecialized(combo);
   }
-}
-
-// The encoder a combo's model is built on — shared by training and
-// snapshot rehydration so a loaded model's input layout can never drift
-// from the one it was trained with.
-std::unique_ptr<encoding::QueryEncoder> AdaptiveLmkg::MakeComboEncoder(
-    const Combo& combo) const {
-  if (combo.topology == Topology::kStar)
-    return encoding::MakeStarEncoder(graph_, combo.size,
-                                     config_.term_encoding);
-  if (combo.topology == Topology::kChain)
-    return encoding::MakeChainEncoder(graph_, combo.size,
-                                      config_.term_encoding);
-  // Composite combos: SG-Encoding over trees of that size.
-  return encoding::MakeSgEncoder(graph_, combo.size + 1, combo.size,
-                                 config_.term_encoding);
-}
-
-std::vector<sampling::LabeledQuery> AdaptiveLmkg::GenerateComboWorkload(
-    const Combo& combo, size_t count, uint64_t seed) const {
-  if (combo.topology == Topology::kStar ||
-      combo.topology == Topology::kChain) {
-    sampling::WorkloadGenerator generator(graph_);
-    sampling::WorkloadGenerator::Options options =
-        config_.workload_options;
-    options.topology = combo.topology;
-    options.query_size = combo.size;
-    options.count = count;
-    options.seed = seed;
-    return generator.Generate(options);
-  }
-  // Composite combos train on tree workloads of that size.
-  sampling::CompositeWorkloadGenerator generator(graph_);
-  sampling::CompositeWorkloadGenerator::Options options;
-  options.query_size = combo.size;
-  options.count = count;
-  options.max_cardinality = config_.workload_options.max_cardinality;
-  options.seed = seed;
-  return generator.Generate(options);
 }
 
 std::unique_ptr<LmkgS> AdaptiveLmkg::TrainSpecialized(const Combo& combo) {
@@ -95,216 +64,8 @@ std::unique_ptr<LmkgS> AdaptiveLmkg::TrainSpecialized(const Combo& combo) {
   return model;
 }
 
-double AdaptiveLmkg::IndependenceFallback(const Query& q) const {
+double AdaptiveLmkg::Fallback(const Query& q) {
   return IndependenceCombination(graph_, single_pattern_, q);
-}
-
-bool AdaptiveLmkg::PendingCanEstimate(const Combo& combo,
-                                      const query::Query& q) {
-  std::unique_ptr<encoding::QueryEncoder>& probe = mapped_probes_[combo];
-  if (probe == nullptr) probe = MakeComboEncoder(combo);
-  return probe->CanEncode(q);
-}
-
-void AdaptiveLmkg::TouchMapped(const Combo& combo) {
-  if (mapped_source_ != nullptr && mapped_hydrated_.count(combo) > 0)
-    mapped_source_->Touch(combo);
-}
-
-LmkgS* AdaptiveLmkg::HydrateMapped(const Combo& combo) {
-  const auto it = std::lower_bound(mapped_pending_.begin(),
-                                   mapped_pending_.end(), combo);
-  LMKG_CHECK(it != mapped_pending_.end() && *it == combo);
-  // Success or failure, the combo leaves the pending set: hydrated
-  // models live in models_, failed ones fall back to independence (a
-  // bad segment must not be re-probed on every query).
-  mapped_pending_.erase(it);
-  mapped_probes_.erase(combo);
-  const std::optional<WeightViews> weights = mapped_source_->Hydrate(combo);
-  util::Result<std::unique_ptr<LmkgS>> model =
-      weights.has_value() ? BuildServeOnly(combo, *weights)
-                          : util::Status::Error("segment unavailable");
-  if (!model.ok()) {
-    if (config_.verbose)
-      std::cerr << "[adaptive] mapped hydration failed for "
-                << TopologyName(combo.topology) << "-" << combo.size
-                << ": " << model.status().message() << "\n";
-    return nullptr;
-  }
-  LmkgS* raw = model.value().get();
-  models_[combo] = std::move(model.value());
-  mapped_hydrated_.insert(combo);
-  return raw;
-}
-
-util::Result<std::unique_ptr<LmkgS>> AdaptiveLmkg::BuildServeOnly(
-    const Combo& combo, const WeightViews& weights) const {
-  std::unique_ptr<LmkgS> model =
-      LmkgS::CreateMapped(MakeComboEncoder(combo), config_.s_config);
-  if (util::Status status = model->AttachWeights(
-          weights.tensors, weights.log_min, weights.log_max, weights.owner);
-      !status.ok())
-    return status;
-  model->WarmUp();
-  return model;
-}
-
-void AdaptiveLmkg::EraseCombo(const Combo& combo) {
-  models_.erase(combo);
-  mapped_hydrated_.erase(combo);
-  mapped_probes_.erase(combo);
-  if (const auto it = std::lower_bound(mapped_pending_.begin(),
-                                       mapped_pending_.end(), combo);
-      it != mapped_pending_.end() && *it == combo)
-    mapped_pending_.erase(it);
-}
-
-util::Status AdaptiveLmkg::Install(const ModelUpdate& update) {
-  // Build every incoming model before touching the registry, so a
-  // rejected update leaves this replica serving exactly what it served.
-  std::vector<std::pair<Combo, std::unique_ptr<LmkgS>>> built;
-  built.reserve(update.install.size());
-  for (const auto& [combo, weights] : update.install) {
-    util::Result<std::unique_ptr<LmkgS>> model =
-        BuildServeOnly(combo, weights);
-    if (!model.ok())
-      return util::Status::Error(util::StrFormat(
-          "adaptive: install of %s-%d failed: %s",
-          TopologyName(combo.topology), combo.size,
-          model.status().message().c_str()));
-    built.emplace_back(combo, std::move(model.value()));
-  }
-  // The old models (and any borrow of a store mapping) die here; a
-  // mapping itself belongs to its cache and lives on.
-  for (const Combo& combo : update.drop) EraseCombo(combo);
-  for (auto& [combo, model] : built) {
-    EraseCombo(combo);
-    models_[combo] = std::move(model);
-  }
-  return util::Status::Ok();
-}
-
-LmkgS* AdaptiveLmkg::SelectModel(const Query& q) {
-  Combo combo{query::ClassifyTopology(q), static_cast<int>(q.size())};
-  if (auto it = models_.find(combo); it != models_.end() &&
-                                     it->second->CanEstimate(q)) {
-    TouchMapped(combo);
-    return it->second.get();
-  }
-  if (std::binary_search(mapped_pending_.begin(), mapped_pending_.end(),
-                         combo)) {
-    // Exact combo match: hydrate directly — a pre-hydration probe would
-    // build the same encoder the hydration itself needs, doubling the
-    // cold-start cost of the first estimate.
-    if (LmkgS* model = HydrateMapped(combo);
-        model != nullptr && model->CanEstimate(q)) {
-      TouchMapped(combo);
-      return model;
-    }
-    // Hydration failed (combo dropped) or the hydrated model cannot
-    // encode this particular query; continue to the scan.
-  }
-  // No exact combo model: any model whose encoder fits the query (e.g. a
-  // larger SG model) still beats the independence fallback. Merge the
-  // hydrated and pending sets in combo order so the pick matches what a
-  // fully-streamed registry would choose.
-  auto mi = models_.begin();
-  size_t pi = 0;
-  while (mi != models_.end() || pi < mapped_pending_.size()) {
-    const bool take_model =
-        pi >= mapped_pending_.size() ||
-        (mi != models_.end() && mi->first < mapped_pending_[pi]);
-    if (take_model) {
-      if (mi->second->CanEstimate(q)) {
-        TouchMapped(mi->first);
-        return mi->second.get();
-      }
-      ++mi;
-    } else {
-      const Combo candidate = mapped_pending_[pi];
-      if (PendingCanEstimate(candidate, q)) {
-        if (LmkgS* model = HydrateMapped(candidate); model != nullptr) {
-          TouchMapped(candidate);
-          return model;
-        }
-        // The failed combo was erased from the pending vector, so pi
-        // already indexes the next candidate. The models_ iterator is
-        // unaffected (hydration only inserts on success, and this
-        // branch is the failure path).
-        continue;
-      }
-      ++pi;
-    }
-  }
-  return nullptr;
-}
-
-void AdaptiveLmkg::AttachMappedSource(std::shared_ptr<MappedSource> source,
-                                      std::vector<Combo> combos) {
-  LMKG_CHECK(source != nullptr);
-  LMKG_CHECK(mapped_source_ == nullptr)
-      << "a replica attaches at most one mapped source";
-  std::sort(combos.begin(), combos.end());
-  combos.erase(std::unique(combos.begin(), combos.end()), combos.end());
-  // Trained models win over their store-backed counterparts.
-  combos.erase(std::remove_if(combos.begin(), combos.end(),
-                              [&](const Combo& combo) {
-                                return models_.count(combo) > 0;
-                              }),
-               combos.end());
-  mapped_source_ = std::move(source);
-  mapped_pending_ = std::move(combos);
-}
-
-util::Status AdaptiveLmkg::HydrateAllMapped() {
-  while (!mapped_pending_.empty()) {
-    const Combo combo = mapped_pending_.front();
-    if (HydrateMapped(combo) == nullptr)
-      return util::Status::Error(util::StrFormat(
-          "adaptive: mapped hydration failed for %s-%d",
-          TopologyName(combo.topology), combo.size));
-  }
-  return util::Status::Ok();
-}
-
-LmkgS* AdaptiveLmkg::FindModel(const Combo& combo) {
-  const auto it = models_.find(combo);
-  return it == models_.end() ? nullptr : it->second.get();
-}
-
-std::vector<AdaptiveLmkg::Combo> AdaptiveLmkg::ModelCombos() const {
-  std::vector<Combo> combos;
-  combos.reserve(num_models());
-  for (const auto& [combo, model] : models_) combos.push_back(combo);
-  combos.insert(combos.end(), mapped_pending_.begin(),
-                mapped_pending_.end());
-  return combos;
-}
-
-double AdaptiveLmkg::EstimateCardinality(const Query& q) {
-  LMKG_CHECK(CanEstimate(q)) << query::QueryToString(q);
-  monitor_.Observe(q);
-  if (q.patterns.size() == 1)
-    return single_pattern_.EstimateCardinality(q);
-  if (LmkgS* model = SelectModel(q); model != nullptr)
-    return model->EstimateCardinality(q);
-  return IndependenceFallback(q);
-}
-
-void AdaptiveLmkg::EstimateCardinalityBatch(
-    std::span<const Query> queries, std::span<double> out) {
-  for (const Query& q : queries) {
-    LMKG_CHECK(CanEstimate(q)) << query::QueryToString(q);
-    monitor_.Observe(q);
-  }
-  EstimateInWaves(
-      queries, out, single_pattern_,
-      [this](const Query& q) { return SelectModel(q); },
-      [this](const Query& q) { return IndependenceFallback(q); });
-}
-
-bool AdaptiveLmkg::CanEstimate(const Query& q) const {
-  return !q.patterns.empty();
 }
 
 void AdaptiveLmkg::IngestFeedback(
@@ -340,16 +101,11 @@ size_t AdaptiveLmkg::pending_feedback_pairs() const {
 
 AdaptiveLmkg::AdaptReport AdaptiveLmkg::Adapt() {
   AdaptReport report;
-  // Create models for hot uncovered combos (size-1 needs no model;
-  // composite shapes need >= 3 patterns for a genuine tree workload —
-  // 2-pattern composites stay on the independence fallback).
+  // Create models for hot uncovered combos. Covers() includes pending
+  // mapped combos: a store-backed model that simply hasn't been queried
+  // yet must not be shadowed by a freshly trained one.
   for (const Combo& combo : monitor_.HotCombos()) {
-    // Covers() includes pending mapped combos: a store-backed model that
-    // simply hasn't been queried yet must not be shadowed by a freshly
-    // trained one.
-    if (combo.size < 2 || Covers(combo)) continue;
-    if (combo.topology == query::Topology::kComposite && combo.size < 3)
-      continue;
+    if (!Trainable(combo) || Covers(combo)) continue;
     models_[combo] = TrainSpecialized(combo);
     report.created.push_back(combo);
   }
@@ -378,13 +134,12 @@ AdaptiveLmkg::AdaptReport AdaptiveLmkg::Adapt() {
         }
       }
       if (coldest == models_.end()) break;  // nothing cold to drop
-      report.dropped.push_back(coldest->first);
+      const Combo dropped = coldest->first;
+      report.dropped.push_back(dropped);
       if (config_.verbose)
-        std::cerr << "[adaptive] dropped "
-                  << TopologyName(coldest->first.topology) << "-"
-                  << coldest->first.size << "\n";
-      mapped_hydrated_.erase(coldest->first);
-      models_.erase(coldest);
+        std::cerr << "[adaptive] dropped " << TopologyName(dropped.topology)
+                  << "-" << dropped.size << "\n";
+      EraseCombo(dropped);
     }
   }
   // Feedback retrains: combos with enough pending executed-query truths
@@ -398,18 +153,15 @@ AdaptiveLmkg::AdaptReport AdaptiveLmkg::Adapt() {
        it != pending_feedback_.end();) {
     const Combo combo = it->first;
     std::vector<sampling::LabeledQuery>& pending = it->second;
-    const bool unservable =
-        combo.size < 2 ||
-        (combo.topology == query::Topology::kComposite && combo.size < 3);
-    if (unservable || pending.empty()) {
+    if (!Trainable(combo) || pending.empty()) {
       it = pending_feedback_.erase(it);
       continue;
     }
-    const auto model_it = models_.find(combo);
+    LmkgS* model = FindModel(combo);
     const bool just_created =
         std::find(report.created.begin(), report.created.end(), combo) !=
         report.created.end();
-    if (model_it == models_.end() || just_created ||
+    if (model == nullptr || just_created ||
         pending.size() < config_.feedback_min_pairs) {
       ++it;
       continue;
@@ -422,7 +174,7 @@ AdaptiveLmkg::AdaptReport AdaptiveLmkg::Adapt() {
     std::vector<sampling::LabeledQuery> blended =
         sampling::BlendTrainingSets(std::move(pending), std::move(refresh),
                                     config_.feedback_blend);
-    model_it->second->Train(blended);
+    model->Train(blended);
     report.updated.push_back(combo);
     if (config_.verbose)
       std::cerr << "[adaptive] feedback-retrained "
@@ -433,20 +185,10 @@ AdaptiveLmkg::AdaptReport AdaptiveLmkg::Adapt() {
   return report;
 }
 
-size_t AdaptiveLmkg::MemoryBytes() const {
-  size_t bytes = 0;
-  for (const auto& [combo, model] : models_) bytes += model->MemoryBytes();
-  return bytes;
-}
-
 namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x4c4d4b41;  // "LMKA"
 constexpr uint32_t kSnapshotVersion = 2;
-// Upper bound on a plausible combo size in a snapshot: far above any
-// trainable query size, far below anything that could push a corrupt
-// value into encoder-width arithmetic.
-constexpr uint32_t kMaxComboSize = 256;
 
 }  // namespace
 
@@ -455,11 +197,6 @@ nn::SegmentArch SegmentArchOf(const AdaptiveLmkgConfig& config) {
       static_cast<uint32_t>(config.term_encoding),
       static_cast<uint32_t>(config.s_config.hidden_dim),
       static_cast<uint32_t>(config.s_config.num_hidden_layers)};
-}
-
-nn::SegmentCombo SegmentComboOf(const AdaptiveLmkg::Combo& combo) {
-  return nn::SegmentCombo{static_cast<uint32_t>(combo.topology),
-                          static_cast<uint32_t>(combo.size)};
 }
 
 util::Status AdaptiveLmkg::Save(std::ostream& out) {
@@ -482,13 +219,9 @@ util::Status AdaptiveLmkg::Save(std::ostream& out) {
     nn::WritePod(out, e.stamp);
   }
   nn::WritePod(out, static_cast<uint32_t>(models_.size()));
-  for (auto& [combo, model] : models_) {
-    nn::Segment segment = model->ToSegment();
-    segment.arch = SegmentArchOf(config_);
-    segment.combo = SegmentComboOf(combo);
-    if (util::Status status = nn::WriteSegment(segment, out); !status.ok())
-      return status;
-  }
+  const nn::SegmentArch arch = SegmentArchOf(config_);
+  if (util::Status status = WriteSegments(out, &arch); !status.ok())
+    return status;
   out.flush();
   if (!out) return util::Status::Error("adaptive: snapshot write failed");
   return util::Status::Ok();
@@ -538,46 +271,33 @@ util::Status AdaptiveLmkg::Load(std::istream& in) {
   uint32_t num_models = 0;
   if (!nn::ReadPod(in, &num_models))
     return util::Status::Error("adaptive: truncated model registry");
-  // Rehydrate into a scratch registry first: a mid-stream failure must
-  // leave the current serving state untouched.
+  // Each segment names its combo and arch. A serve-only model over the
+  // combo's encoder gives the tensor shapes without allocating weights,
+  // so a corrupt combo fails against the tensor table before the
+  // trainable model is built.
   const nn::SegmentArch arch = SegmentArchOf(config_);
-  std::map<Combo, std::unique_ptr<LmkgS>> loaded;
-  std::vector<char> bytes;
-  for (uint32_t i = 0; i < num_models; ++i) {
-    // Each segment names its combo and arch. A serve-only model over the
-    // combo's encoder gives the tensor shapes without allocating
-    // weights, so a corrupt combo fails against the tensor table before
-    // the trainable model is built.
-    Combo combo;
-    const auto shapes_for = [&](const nn::Segment& head)
-        -> util::Result<std::vector<nn::TensorShape>> {
-      if (!(head.arch == arch))
-        return util::Status::Error(
-            "adaptive: config mismatch (segment arch differs)");
-      if (head.combo.topology > static_cast<uint32_t>(Topology::kComposite) ||
-          head.combo.size < 2 || head.combo.size > kMaxComboSize)
-        return util::Status::Error("adaptive: corrupt model combo");
-      combo = Combo{static_cast<Topology>(head.combo.topology),
-                    static_cast<int>(head.combo.size)};
-      if (loaded.count(combo) > 0)
-        return util::Status::Error("adaptive: duplicate combo in snapshot");
-      return LmkgS::CreateMapped(MakeComboEncoder(combo), config_.s_config)
-          ->ExpectedParamShapes();
-    };
-    nn::Segment segment;
-    util::Status status = nn::ReadSegment(in, shapes_for, &bytes, &segment);
-    if (!status.ok()) return status;
-    auto model =
-        std::make_unique<LmkgS>(MakeComboEncoder(combo), config_.s_config);
-    if (status = model->LoadSegment(segment); !status.ok()) return status;
-    loaded.emplace(combo, std::move(model));
-  }
-  models_ = std::move(loaded);
-  // A full snapshot replaces the registry wholesale; whatever mapped
-  // models were attached (pending or hydrated) are superseded with it.
-  mapped_pending_.clear();
-  mapped_probes_.clear();
-  mapped_hydrated_.clear();
+  const auto target =
+      [&](const nn::Segment& head) -> util::Result<SegmentSlot> {
+    if (!(head.arch == arch))
+      return util::Status::Error(
+          "adaptive: config mismatch (segment arch differs)");
+    if (head.combo.topology > static_cast<uint32_t>(Topology::kComposite) ||
+        head.combo.size < 2 || head.combo.size > kMaxComboSize)
+      return util::Status::Error("adaptive: corrupt model combo");
+    const Combo combo{static_cast<Topology>(head.combo.topology),
+                      static_cast<int>(head.combo.size)};
+    return SegmentSlot{
+        combo,
+        LmkgS::CreateMapped(MakeComboEncoder(combo), config_.s_config)
+            ->ExpectedParamShapes(),
+        [this, combo] {
+          return std::make_unique<LmkgS>(MakeComboEncoder(combo),
+                                         config_.s_config);
+        }};
+  };
+  if (util::Status status = ReadSegments(in, num_models, target);
+      !status.ok())
+    return status;
   monitor_.RestoreState(monitor);
   models_created_ = static_cast<size_t>(created);
   return util::Status::Ok();

@@ -5,8 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "nn/serialize.h"
 #include "query/query.h"
 #include "util/check.h"
+#include "util/status.h"
 
 namespace lmkg::core {
 
@@ -53,33 +55,44 @@ class CardinalityEstimator {
   /// Display name ("LMKG-S", "wj", ...), used in result tables.
   virtual std::string name() const = 0;
 
-  /// Gathers queries[indices] into one contiguous batch, estimates it
-  /// with this estimator, and scatters the results into out[indices] —
-  /// the shared group-dispatch step of the facade estimators (Lmkg,
-  /// AdaptiveLmkg), which partition a mixed batch into per-model groups.
-  void EstimateIndexedBatch(std::span<const query::Query> queries,
-                            const std::vector<size_t>& indices,
-                            std::span<double> out) {
-    if (indices.empty()) return;
-    // Homogeneous batches (one group owning every query — the common
-    // optimizer workload) skip the gather/scatter copies entirely.
-    if (indices.size() == queries.size() && indices.front() == 0 &&
-        indices.back() == queries.size() - 1) {
-      EstimateCardinalityBatch(queries, out);
-      return;
-    }
-    std::vector<query::Query> gathered;
-    gathered.reserve(indices.size());
-    for (size_t i : indices) gathered.push_back(queries[i]);
-    std::vector<double> estimates(indices.size(), 0.0);
-    EstimateCardinalityBatch(gathered, estimates);
-    for (size_t j = 0; j < indices.size(); ++j)
-      out[indices[j]] = estimates[j];
-  }
-
   /// Approximate size of the estimator's state (model parameters or
   /// summaries) — Table II's "memory consumption".
   virtual size_t MemoryBytes() const = 0;
+};
+
+/// A learned estimator whose trained state is one nn/serialize.h segment
+/// (LmkgS, LmkgU) — what a core::ModelRegistry holds, writes and reads.
+class LearnedEstimator : public CardinalityEstimator {
+ public:
+  /// The trained state as a segment with zero arch and combo. Valid only
+  /// while the model (or the mapping it borrows) is alive.
+  virtual nn::Segment ToSegment() = 0;
+  /// Copies a parsed segment into this trainable model; a shape
+  /// mismatch changes nothing.
+  virtual util::Status LoadSegment(const nn::Segment& segment) = 0;
+  /// The tensor shapes LoadSegment accepts, in order.
+  virtual std::vector<nn::TensorShape> ExpectedParamShapes() const = 0;
+  virtual bool trained() const = 0;
+
+  /// Persists the trained state as one segment ("train once in the
+  /// creation phase, reuse thereafter").
+  util::Status Save(std::ostream& out) {
+    LMKG_CHECK(trained()) << name() << " Save before Train";
+    return nn::WriteSegment(ToSegment(), out);
+  }
+  /// Load requires a trainable model built like the saved one; every
+  /// tensor shape and the CRC are verified, and a failed Load leaves the
+  /// model as it was.
+  util::Status Load(std::istream& in) {
+    std::vector<char> bytes;
+    nn::Segment segment;
+    if (util::Status status = nn::ReadSegment(
+            in, [this](const nn::Segment&) { return ExpectedParamShapes(); },
+            &bytes, &segment);
+        !status.ok())
+      return status;
+    return LoadSegment(segment);
+  }
 };
 
 }  // namespace lmkg::core

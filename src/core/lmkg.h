@@ -8,7 +8,7 @@
 #include "core/estimator.h"
 #include "core/lmkg_s.h"
 #include "core/lmkg_u.h"
-#include "core/single_pattern.h"
+#include "core/model_registry.h"
 #include "encoding/term_encoder.h"
 #include "rdf/graph.h"
 #include "sampling/workload.h"
@@ -68,12 +68,17 @@ struct LmkgConfig {
 
 /// The LMKG framework facade (paper §IV, Fig. 1): the creation phase
 /// decides the model group layout, creates training data, and trains the
-/// models; the execution phase routes each query to the most specific
-/// capable model, decomposing composite queries into star/chain
+/// models; the execution phase (ModelRegistry) routes each query to the
+/// most specific capable model, decomposing the rest into star/chain
 /// subpatterns whose estimates are combined under a uniform join
-/// assumption. Single-pattern (sub)queries are answered exactly from
-/// index statistics.
-class Lmkg : public CardinalityEstimator {
+/// assumption. Each group's model is registered under its group's first
+/// combo; groups are laid out small to large and star before chain, so
+/// the registry's combo-ordered scan visits them in layout order.
+/// Single-pattern (sub)queries are answered exactly from index
+/// statistics. An LMKG-U batch that needs decomposition runs the strict
+/// per-query loop: its sub-queries hit the same stateful models, and
+/// running them out of input order would reorder the sampling RNG draws.
+class Lmkg : public ModelRegistry {
  public:
   Lmkg(const rdf::Graph& graph, const LmkgConfig& config);
 
@@ -84,22 +89,7 @@ class Lmkg : public CardinalityEstimator {
   double BuildModels(
       const std::vector<sampling::LabeledQuery>& sample_workload = {});
 
-  /// Execution phase.
-  double EstimateCardinality(const query::Query& q) override;
-  /// Routes the batch in three grouped waves: size-1 queries to the exact
-  /// single-pattern estimator, model-served queries grouped per selected
-  /// model (each group one batched forward), and the decomposition
-  /// leftovers per query. Every model receives its queries in input
-  /// order. Unsupervised frameworks whose batch contains decomposed
-  /// queries fall back to the strict per-query loop (decomposition
-  /// sub-queries hit the same stateful LMKG-U models, and running them
-  /// out of input order would reorder the sampling RNG draws), so the
-  /// estimate-equivalence contract holds unconditionally.
-  void EstimateCardinalityBatch(std::span<const query::Query> queries,
-                                std::span<double> out) override;
-  bool CanEstimate(const query::Query& q) const override;
   std::string name() const override;
-  size_t MemoryBytes() const override;
 
   /// Persists every trained model behind a versioned kind/grouping/count
   /// header, one nn/serialize.h segment per model ("train once in the
@@ -111,33 +101,36 @@ class Lmkg : public CardinalityEstimator {
   util::Status Save(std::ostream& out);
   util::Status Load(std::istream& in);
 
-  size_t num_models() const { return models_.size(); }
-  /// Direct access for benches (grouping experiments, Table II).
-  CardinalityEstimator* model(size_t i) { return models_[i].get(); }
-
  private:
-  // One supervised model group: its encoder and the (topology, size)
-  // combos it trains on. The layout is a pure function of the config, so
+  // One model group: its encoder and the (topology, size) combos it
+  // trains on. The layout is a pure function of the config, so
   // BuildModels and Load construct identical model stacks.
   struct GroupSpec {
     std::unique_ptr<encoding::QueryEncoder> encoder;
-    std::vector<std::pair<query::Topology, int>> combos;
+    std::vector<Combo> combos;
     bool sg = false;  // SG-Encoding: can also serve composite shapes
   };
+  using ModelStack =
+      std::vector<std::pair<Combo, std::unique_ptr<LearnedEstimator>>>;
   std::vector<GroupSpec> LayOutGroups() const;
-  // Returns the first (most specific) model able to estimate q, or
-  // nullptr.
-  CardinalityEstimator* SelectModel(const query::Query& q);
+  // The untrained model of every group, in layout order, each with the
+  // combo it is registered under. Supervised layouts also return their
+  // groups (encoders moved into the models) in `groups`.
+  ModelStack NewModels(std::vector<GroupSpec>* groups) const;
+  // Training data of supervised group `gi`, whose model is `model`.
+  std::vector<sampling::LabeledQuery> GroupTrainingSet(
+      const GroupSpec& group, size_t gi, const LmkgS& model,
+      const std::vector<sampling::LabeledQuery>& sample_workload) const;
+  void OnEstimate(const query::Query& q) override;
+  double Fallback(const query::Query& q) override {
+    return EstimateByDecomposition(q);
+  }
   // Decomposition path for queries no single model covers.
   double EstimateByDecomposition(const query::Query& q);
   // Splits q into star/chain/single subqueries covering all patterns.
   std::vector<query::Query> Decompose(const query::Query& q) const;
 
-  const rdf::Graph& graph_;
   LmkgConfig config_;
-  // Ordered most-specific-first.
-  std::vector<std::unique_ptr<CardinalityEstimator>> models_;
-  SinglePatternEstimator single_pattern_;
   bool built_ = false;
 };
 

@@ -79,8 +79,8 @@ WeightViews LmkgS::CopyWeights() {
   return weights;
 }
 
-std::vector<std::pair<size_t, size_t>> LmkgS::ExpectedParamShapes() const {
-  std::vector<std::pair<size_t, size_t>> shapes;
+std::vector<nn::TensorShape> LmkgS::ExpectedParamShapes() const {
+  std::vector<nn::TensorShape> shapes;
   size_t in_dim = encoder_->width();
   for (int layer = 0; layer < config_.num_hidden_layers; ++layer) {
     shapes.emplace_back(in_dim, config_.hidden_dim);  // W
@@ -280,22 +280,6 @@ util::Status LmkgS::LoadSegment(const nn::Segment& segment) {
   scaler_.Restore(segment.log_min, segment.log_max);
   trained_ = true;
   return util::Status::Ok();
-}
-
-util::Status LmkgS::Save(std::ostream& out) {
-  LMKG_CHECK(trained_) << "LMKG-S Save before Train";
-  return nn::WriteSegment(ToSegment(), out);
-}
-
-util::Status LmkgS::Load(std::istream& in) {
-  std::vector<char> bytes;
-  nn::Segment segment;
-  if (util::Status status = nn::ReadSegment(
-          in, [this](const nn::Segment&) { return ExpectedParamShapes(); },
-          &bytes, &segment);
-      !status.ok())
-    return status;
-  return LoadSegment(segment);
 }
 
 size_t LmkgS::MemoryBytes() const {

@@ -54,7 +54,7 @@ struct WeightViews {
 /// (query, true cardinality) pairs. Cardinalities are log-scaled then
 /// min-max scaled to [0,1]; the output layer is a sigmoid; hidden layers
 /// use ReLU with optional dropout; the objective is the mean q-error.
-class LmkgS : public CardinalityEstimator {
+class LmkgS : public LearnedEstimator {
  public:
   LmkgS(std::unique_ptr<encoding::QueryEncoder> encoder,
         const LmkgSConfig& config);
@@ -93,23 +93,15 @@ class LmkgS : public CardinalityEstimator {
   std::string name() const override;
   size_t MemoryBytes() const override;
 
-  /// Persists the trained weights + label scaler as one nn/serialize.h
-  /// segment ("train once in the creation phase, reuse thereafter").
-  /// Load requires a trainable model built with the same encoder/config;
-  /// every tensor shape and the CRC are verified, and a failed Load
-  /// leaves the model as it was.
-  util::Status Save(std::ostream& out);
-  util::Status Load(std::istream& in);
-
   /// The trained parameters (views in CollectParams order) and label
   /// scaler as a segment with zero arch and combo — what Save writes and
   /// what containers and the model store stamp and write. Valid only
   /// while the model (or, for mapped models, the underlying mapping) is
   /// alive.
-  nn::Segment ToSegment();
+  nn::Segment ToSegment() override;
   /// Copies a parsed segment's tensors and scaler into this trainable
   /// model; a shape mismatch changes nothing.
-  util::Status LoadSegment(const nn::Segment& segment);
+  util::Status LoadSegment(const nn::Segment& segment) override;
 
   /// Read-only views of the trained parameters in CollectParams order.
   std::vector<nn::ConstMatrixView> ParamViews();
@@ -123,7 +115,7 @@ class LmkgS : public CardinalityEstimator {
   /// Parameter shapes in CollectParams order ({W, b} per Dense layer)
   /// for the network this encoder/config pair builds — what the model
   /// store validates a segment's tensor table against before attaching.
-  std::vector<std::pair<size_t, size_t>> ExpectedParamShapes() const;
+  std::vector<nn::TensorShape> ExpectedParamShapes() const override;
 
   /// Points every parameter at read-only storage (mmapped segment
   /// tensors or a CopyWeights set; 64-byte-aligned for full kernel
@@ -145,6 +137,7 @@ class LmkgS : public CardinalityEstimator {
   /// True for CreateMapped models (weights borrowed from a store
   /// mapping or a CopyWeights set; Train unavailable).
   bool mapped() const { return mapped_; }
+  bool trained() const override { return trained_; }
 
   const encoding::QueryEncoder& encoder() const { return *encoder_; }
   const util::LogMinMaxScaler& scaler() const { return scaler_; }

@@ -291,20 +291,22 @@ double LmkgU::EstimateFromSequence(const std::vector<uint32_t>& values,
 
 std::string LmkgU::name() const { return "LMKG-U"; }
 
-util::Status LmkgU::Save(std::ostream& out) {
-  LMKG_CHECK(trained_) << "LMKG-U Save before Train";
-  nn::Segment segment;  // no label scaler: log_min = log_max = 0
+nn::Segment LmkgU::ToSegment() {
+  nn::Segment segment;
   segment.tensors = nn::ParamViews(model_->Params());
-  return nn::WriteSegment(segment, out);
+  return segment;
 }
 
-util::Status LmkgU::Load(std::istream& in) {
-  double log_min = 0.0, log_max = 0.0;
-  util::Status status =
-      nn::ReadParamSegment(in, model_->Params(), &log_min, &log_max);
-  if (!status.ok()) return status;
+util::Status LmkgU::LoadSegment(const nn::Segment& segment) {
+  if (util::Status status = nn::CopySegment(segment, model_->Params());
+      !status.ok())
+    return status;
   trained_ = true;
   return util::Status::Ok();
+}
+
+std::vector<nn::TensorShape> LmkgU::ExpectedParamShapes() const {
+  return nn::ParamShapes(model_->Params());
 }
 
 size_t LmkgU::MemoryBytes() const { return model_->ParamBytes(); }

@@ -48,7 +48,7 @@ struct LmkgUConfig {
 /// where N_k is the size of the pattern population (see
 /// sampling::StarPopulation / ChainPopulation for the space definition
 /// that makes this consistent with exact BGP counts).
-class LmkgU : public CardinalityEstimator {
+class LmkgU : public LearnedEstimator {
  public:
   LmkgU(const rdf::Graph& graph, query::Topology topology, int k,
         const LmkgUConfig& config);
@@ -80,11 +80,13 @@ class LmkgU : public CardinalityEstimator {
   std::string name() const override;
   size_t MemoryBytes() const override;
 
-  /// Persists the trained density model as one nn/serialize.h segment.
-  /// Load requires an instance built over the same graph with the same
-  /// (topology, k, config); a failed Load leaves it as it was.
-  util::Status Save(std::ostream& out);
-  util::Status Load(std::istream& in);
+  /// The density model as one segment (no label scaler: log_min =
+  /// log_max = 0). Load requires an instance built over the same graph
+  /// with the same (topology, k, config).
+  nn::Segment ToSegment() override;
+  util::Status LoadSegment(const nn::Segment& segment) override;
+  std::vector<nn::TensorShape> ExpectedParamShapes() const override;
+  bool trained() const override { return trained_; }
 
   query::Topology topology() const { return topology_; }
   int k() const { return k_; }

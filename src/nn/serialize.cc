@@ -109,6 +109,8 @@ TableEntry EntryAt(const char* table, size_t i) {
   return entry;
 }
 
+}  // namespace
+
 std::vector<TensorShape> ParamShapes(const std::vector<ParamRef>& params) {
   std::vector<TensorShape> shapes;
   shapes.reserve(params.size());
@@ -116,8 +118,6 @@ std::vector<TensorShape> ParamShapes(const std::vector<ParamRef>& params) {
     shapes.emplace_back(p.value->rows(), p.value->cols());
   return shapes;
 }
-
-}  // namespace
 
 util::Status WriteSegment(const Segment& segment, std::ostream& out) {
   const std::vector<ConstMatrixView>& tensors = segment.tensors;

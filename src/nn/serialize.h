@@ -21,7 +21,8 @@ namespace lmkg::nn {
 /// creation phase, reuse in every execution phase"): the LMSG segment.
 /// A model-store file is one segment, mmapped as is; every stream Save
 /// writes one segment per model, inside a container header where the
-/// owner has more to persist (core::Lmkg, core::AdaptiveLmkg).
+/// owner has more to persist (core::Lmkg, core::AdaptiveLmkg; both
+/// through core::ModelRegistry's one segment loop).
 /// Host-endian, like every LMKG format:
 ///
 ///   [0, 80)               fixed header: u32 magic "LMSG", u32 version,
@@ -104,6 +105,9 @@ util::Status ReadSegment(std::istream& in, const ShapesFor& shapes_for,
 /// Ok when `tensors` have exactly `shapes`, in order.
 util::Status CheckShapes(std::span<const ConstMatrixView> tensors,
                          std::span<const TensorShape> shapes);
+
+/// The shapes of `params`' values, in order.
+std::vector<TensorShape> ParamShapes(const std::vector<ParamRef>& params);
 
 /// Read-only views of `params`' values, in order.
 std::vector<ConstMatrixView> ParamViews(const std::vector<ParamRef>& params);

@@ -272,43 +272,6 @@ void EstimatorService::EstimateBatch(std::span<const query::Query> queries,
   }
 }
 
-std::vector<std::future<double>> EstimatorService::EstimateBatchAsync(
-    std::span<const query::Query> queries) {
-  std::vector<std::future<double>> futures;
-  futures.reserve(queries.size());
-  std::vector<uint8_t> touched(shards_.size(), 0);
-  const auto now = std::chrono::steady_clock::now();
-
-  for (const query::Query& q : queries) {
-    auto request = std::make_unique<Request>();
-    request->enqueue_time = now;
-    request->promise.emplace();
-    futures.push_back(request->promise->get_future());
-    Shard* shard = nullptr;
-    double estimate = 0.0;
-    if (PrepareAndTryCache(q, request.get(), &shard, &estimate)) {
-      request->promise->set_value(estimate);
-      continue;
-    }
-    request->owned_query = q;
-    request->query = &request->owned_query;
-    const size_t idx = request->fp.ShardHash() % shards_.size();
-    Request* raw = request.release();
-    if (shard->ring.TryPushNoWake(raw)) {
-      touched[idx] = 1;
-    } else {
-      shard->ring.WakeConsumer();
-      const bool accepted = shard->ring.Push(raw);
-      if (!accepted) request.reset(raw);  // reclaim before the check aborts
-      LMKG_CHECK(accepted)
-          << "EstimateBatchAsync on a shut-down EstimatorService";
-    }
-  }
-  for (size_t s = 0; s < shards_.size(); ++s)
-    if (touched[s]) shards_[s]->ring.WakeConsumer();
-  return futures;
-}
-
 void EstimatorService::Complete(
     Shard& shard, Request* request, double value,
     std::chrono::steady_clock::time_point now) {

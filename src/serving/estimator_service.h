@@ -170,12 +170,6 @@ class EstimatorService {
   void EstimateBatch(std::span<const query::Query> queries,
                      std::span<double> results);
 
-  /// Future-based bulk variant: same amortized submission, returns one
-  /// future per query immediately (cache hits resolve pre-fulfilled).
-  /// Copies each missing query; safe to destroy `queries` after return.
-  std::vector<std::future<double>> EstimateBatchAsync(
-      std::span<const query::Query> queries);
-
   /// One coherent snapshot rolled up across all shards: counters summed,
   /// latency histograms merged, plus the current model epoch and
   /// cumulative stale-entry evictions.

@@ -165,7 +165,11 @@ void FeedbackCollector::Record(const query::Query& q,
 
 bool FeedbackCollector::IsDeactivated(const query::Fingerprint& fp) const {
   if (deactivated_count_.load(std::memory_order_relaxed) == 0) return false;
-  auto snapshot = deactivated_.load(std::memory_order_acquire);
+  std::shared_ptr<const std::vector<query::Fingerprint>> snapshot;
+  {
+    util::MutexLock lock(&deactivated_mu_);
+    snapshot = deactivated_;
+  }
   if (snapshot == nullptr) return false;
   return std::binary_search(snapshot->begin(), snapshot->end(), fp,
                             FingerprintLess);
@@ -181,10 +185,12 @@ void FeedbackCollector::PublishDeactivated(
   std::sort(list.begin(), list.end(), FingerprintLess);
   auto snapshot = std::make_shared<const std::vector<query::Fingerprint>>(
       std::move(list));
-  // Publish the list before the count: a reader that sees the new count
-  // must find the matching snapshot behind it.
-  deactivated_.store(snapshot, std::memory_order_release);
-  deactivated_count_.store(snapshot->size(), std::memory_order_release);
+  const size_t count = snapshot->size();
+  {
+    util::MutexLock lock(&deactivated_mu_);
+    deactivated_ = std::move(snapshot);
+  }
+  deactivated_count_.store(count, std::memory_order_relaxed);
 }
 
 DeactivationReport FeedbackCollector::UpdateDeactivation() {

@@ -106,8 +106,8 @@ struct FeedbackStatsSnapshot {
 /// Threading: NoteEstimate and RecordTruth are the hot path — sub-sharded
 /// try-locks, a contended or full store drops the sample and counts it,
 /// never stalling a client or an executor. IsDeactivated is one relaxed
-/// load when the list is empty (the common case) and an atomic
-/// shared_ptr snapshot + binary search otherwise. DrainTrainingPairs and
+/// load when the list is empty (the common case) and a snapshot copy
+/// under a mutex + binary search otherwise. DrainTrainingPairs and
 /// UpdateDeactivation take blocking locks and belong on the lifecycle
 /// thread. FallbackEstimate serializes on an internal mutex (the
 /// fallback estimator is not thread-safe); it only carries deactivated
@@ -234,15 +234,15 @@ class FeedbackCollector {
   std::atomic<size_t> entry_count_{0};
 
   // Sorted snapshot of the deactivated fingerprints; swapped whole by
-  // UpdateDeactivation, read lock-free by IsDeactivated. The count
-  // short-circuits the common nothing-deactivated case to one relaxed
-  // load. Deliberately outside the lock analysis: the atomic
-  // shared_ptr's release-store / acquire-load pair (publish list before
-  // count, see PublishDeactivated) IS the synchronization, and TSan
-  // covers it under the `threaded` feedback stress suite.
+  // UpdateDeactivation, copied out under the mutex by IsDeactivated and
+  // searched outside it. The count short-circuits the common
+  // nothing-deactivated case to one relaxed load without the lock.
+  // (std::atomic<std::shared_ptr> is not lock-free in libstdc++: it
+  // spins on the control word, which TSan cannot see through.)
   std::atomic<size_t> deactivated_count_{0};
-  std::atomic<std::shared_ptr<const std::vector<query::Fingerprint>>>
-      deactivated_;
+  mutable util::Mutex deactivated_mu_;
+  std::shared_ptr<const std::vector<query::Fingerprint>> deactivated_
+      LMKG_GUARDED_BY(deactivated_mu_);
 
   util::Mutex fallback_mu_;
 

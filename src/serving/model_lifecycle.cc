@@ -130,11 +130,11 @@ bool ModelLifecycle::InstallUpdate(
   // A slot that cannot take the edit keeps serving its old models: the
   // failure is counted and logged, never fatal.
   const auto install = [&](core::CardinalityEstimator* slot) {
-    auto* adaptive = dynamic_cast<core::AdaptiveLmkg*>(slot);
+    auto* registry = dynamic_cast<core::ModelRegistry*>(slot);
     const util::Status status =
-        adaptive == nullptr
-            ? util::Status::Error("slot holds no AdaptiveLmkg")
-            : adaptive->Install(update);
+        registry == nullptr
+            ? util::Status::Error("slot holds no model registry")
+            : registry->Install(update);
     if (status.ok()) return true;
     ++*failed_installs;
     std::cerr << "[lifecycle] install failed: " << status.message() << "\n";

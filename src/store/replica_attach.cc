@@ -60,7 +60,7 @@ util::Status AttachReplica(StoreCache* cache, const std::string& tenant,
   combos.reserve(keys.size());
   for (const ComboKey& key : keys) {
     if (key.topology > static_cast<uint32_t>(query::Topology::kComposite) ||
-        key.size < 2 || key.size > 256)
+        key.size < 2 || key.size > core::kMaxComboSize)
       return util::Status::Error(util::StrFormat(
           "store attach: unservable combo %u-%u for tenant %s",
           key.topology, key.size, tenant.c_str()));

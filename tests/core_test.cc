@@ -442,7 +442,7 @@ TEST_F(LmkgFacadeTest, CompositeTrainingServesTreesThroughTheSgModel) {
   // 4 nodes / 3 edges) and is answered by the model, not by decomposition.
   Query q = query::MakeTreeQuery({V(0), V(1), V(2), V(3)}, {-1, 0, 0, 1},
                                  {B(1), B(2), B(3)});
-  EXPECT_TRUE(lmkg.model(0)->CanEstimate(q));
+  EXPECT_TRUE(lmkg.FindModel({Topology::kStar, 2})->CanEstimate(q));
   double est = lmkg.EstimateCardinality(q);
   EXPECT_TRUE(std::isfinite(est));
   EXPECT_GE(est, 0.0);
@@ -458,8 +458,8 @@ TEST_F(LmkgFacadeTest, CompositeTrainingIgnoredForPatternBoundGroupings) {
                                  {B(1), B(2), B(3)});
   // The pattern-bound models cannot encode a tree; the facade still
   // estimates it (decomposition path).
-  EXPECT_FALSE(lmkg.model(0)->CanEstimate(q));
-  EXPECT_FALSE(lmkg.model(1)->CanEstimate(q));
+  EXPECT_FALSE(lmkg.FindModel({Topology::kStar, 2})->CanEstimate(q));
+  EXPECT_FALSE(lmkg.FindModel({Topology::kChain, 2})->CanEstimate(q));
   double est = lmkg.EstimateCardinality(q);
   EXPECT_TRUE(std::isfinite(est));
 }

@@ -344,21 +344,6 @@ TEST_F(ServingTest, EstimateBatchMatchesSerialPath) {
   }
 }
 
-TEST_F(ServingTest, EstimateBatchAsyncMatchesSerialPath) {
-  ServiceConfig config;
-  config.max_batch_size = 16;
-  config.cache_capacity = 1024;
-  EstimatorService service(Replicas(2), config);
-  auto futures = service.EstimateBatchAsync(workload_);
-  ASSERT_EQ(futures.size(), workload_.size());
-  for (size_t i = 0; i < workload_.size(); ++i)
-    EXPECT_DOUBLE_EQ(futures[i].get(), expected_[i]);
-  // Repeat resolves pre-fulfilled from the cache.
-  auto again = service.EstimateBatchAsync(workload_);
-  for (size_t i = 0; i < workload_.size(); ++i)
-    EXPECT_DOUBLE_EQ(again[i].get(), expected_[i]);
-}
-
 TEST_F(ServingTest, EstimateBatchBackpressuresThroughTinyRing) {
   // A ring far smaller than the submission forces the bulk path through
   // its full-ring fallback (wake + blocking push) mid-batch; results
@@ -374,7 +359,7 @@ TEST_F(ServingTest, EstimateBatchBackpressuresThroughTinyRing) {
 }
 
 // The planner-shaped TSan stress: K concurrent "enumerations", each
-// fanning bulk submissions (sync and async alternating) over shared
+// alternating bulk submissions with per-query futures over shared
 // shards, caches, and rings — every response must equal the serial
 // estimate bit for bit.
 TEST_F(ServingTest, ConcurrentBatchSubmissionsMatchSerialPathExactly) {
@@ -409,7 +394,10 @@ TEST_F(ServingTest, ConcurrentBatchSubmissionsMatchSerialPathExactly) {
           for (size_t k = 0; k < n; ++k)
             results[c][order[start + k]] = out[k];
         } else {
-          auto futures = service.EstimateBatchAsync(queries);
+          std::vector<std::future<double>> futures;
+          futures.reserve(n);
+          for (const Query& q : queries)
+            futures.push_back(service.EstimateAsync(q));
           for (size_t k = 0; k < n; ++k)
             results[c][order[start + k]] = futures[k].get();
         }
