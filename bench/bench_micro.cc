@@ -3,6 +3,12 @@
 // backward, ResMADE conditionals, the samplers and the result-cache probe.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/lmkg_s.h"
 #include "core/lmkg_u.h"
 #include "core/workload_monitor.h"
@@ -12,6 +18,7 @@
 #include "nn/layer.h"
 #include "nn/loss.h"
 #include "nn/made.h"
+#include "nn/tensor.h"
 #include "query/executor.h"
 #include "query/topology.h"
 #include "range/histogram.h"
@@ -157,6 +164,72 @@ void BM_DenseForward(benchmark::State& state) {
     benchmark::DoNotOptimize(net.Forward(x, false).at(0, 0));
 }
 BENCHMARK(BM_DenseForward);
+
+// The LMKG-S forward pass at the bench/e2e serve_open model shape: an
+// 846-wide SG binary input row with 24 nonzeros (random ascending
+// columns), then 128, 128 and 1 units, ReLU, dropout 0.1 and a sigmoid
+// head, He-initialized. Arg `rows` is the rows per call; `infer` picks
+// the training stack's ForwardSparseInput (0) or the serve-only
+// Sequential::Infer (1), whose outputs are bit-identical. Counters:
+// ns_per_row, and fma_peak_frac — the row's 19,584 multiply-adds against
+// two SIMD FMAs per cycle at the CPU's nominal clock (benchmark's
+// CPUInfo), with the lane count of the ISA the library was built for.
+void BM_LmkgSForward(benchmark::State& state) {
+  constexpr size_t kWidth = 846, kNonzeros = 24, kHidden = 128;
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const bool infer = state.range(1) != 0;
+  util::Pcg32 rng(6);
+  nn::Sequential net;
+  size_t in_dim = kWidth;
+  for (int layer = 0; layer < 2; ++layer) {
+    net.Add(std::make_unique<nn::Dense>(in_dim, kHidden, rng));
+    net.Add(std::make_unique<nn::Relu>());
+    net.Add(std::make_unique<nn::Dropout>(0.1, layer + 2));
+    in_dim = kHidden;
+  }
+  net.Add(std::make_unique<nn::Dense>(in_dim, 1, rng));
+  net.Add(std::make_unique<nn::Sigmoid>());
+  nn::SparseRows x;
+  x.Clear(kWidth);
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<uint32_t> cols;
+    while (cols.size() < kNonzeros) {
+      const uint32_t col = rng.UniformInt(kWidth);
+      if (std::find(cols.begin(), cols.end(), col) == cols.end())
+        cols.push_back(col);
+    }
+    std::sort(cols.begin(), cols.end());
+    x.col.insert(x.col.end(), cols.begin(), cols.end());
+    x.row_begin.push_back(x.col.size());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const float* out =
+        infer ? net.Infer(x).data : net.ForwardSparseInput(x).data();
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  const double ns_per_row =
+      std::chrono::duration<double, std::nano>(
+          std::chrono::steady_clock::now() - start)
+          .count() /
+      static_cast<double>(state.iterations() * rows);
+  const std::string isa = nn::SimdIsaName();
+  const double lanes = isa == "avx512f"    ? 16.0
+                       : isa == "avx2+fma" ? 8.0
+                       : isa == "neon"     ? 4.0
+                                           : 1.0;
+  const double macs_per_row = static_cast<double>(
+      kNonzeros * kHidden + kHidden * kHidden + kHidden);
+  const double peak_macs_per_ns =
+      2.0 * lanes * benchmark::CPUInfo::Get().cycles_per_second * 1e-9;
+  state.counters["ns_per_row"] = ns_per_row;
+  state.counters["fma_peak_frac"] =
+      macs_per_row / ns_per_row / peak_macs_per_ns;
+}
+BENCHMARK(BM_LmkgSForward)
+    ->ArgsProduct({{1, 2, 8, 64}, {0, 1}})
+    ->ArgNames({"rows", "infer"});
 
 void BM_DenseTrainStep(benchmark::State& state) {
   util::Pcg32 rng(5);

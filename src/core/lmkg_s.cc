@@ -112,10 +112,10 @@ util::Status LmkgS::AttachWeights(
 void LmkgS::WarmUp() {
   LMKG_CHECK(trained_) << "LMKG-S WarmUp before weights exist";
   input_buffer_.ResizeZeroed(1, encoder_->width());
-  net_.Forward(input_buffer_, /*training=*/false);
+  net_.Infer(input_buffer_);
   sparse_input_buffer_.Clear(encoder_->width());
   sparse_input_buffer_.row_begin.push_back(0);  // one all-zero row
-  net_.ForwardSparseInput(sparse_input_buffer_);
+  net_.Infer(sparse_input_buffer_);
 }
 
 LmkgS::TrainStats LmkgS::Train(
@@ -235,26 +235,26 @@ void LmkgS::EstimateCardinalityBatch(std::span<const query::Query> queries,
     if (!sparse) encoder_->EncodeBatch(queries, &input_buffer_);
     return sparse;
   };
-  auto forward = [&](bool sparse) -> const nn::Matrix& {
-    return sparse ? net_.ForwardSparseInput(sparse_input_buffer_)
-                  : net_.Forward(input_buffer_, /*training=*/false);
+  auto forward = [&](bool sparse) {
+    return sparse ? net_.Infer(sparse_input_buffer_)
+                  : net_.Infer(input_buffer_);
   };
-  const nn::Matrix* pred;
+  nn::ConstMatrixView pred;
   if (collect_stage_stats_) {
     util::Stopwatch timer;
     const bool sparse = encode();
     stage_stats_.encode_seconds += timer.ElapsedSeconds();
     timer.Restart();
-    pred = &forward(sparse);
+    pred = forward(sparse);
     stage_stats_.forward_seconds += timer.ElapsedSeconds();
     stage_stats_.batches += 1;
     stage_stats_.queries += queries.size();
   } else {
     // No stopwatch here: the clock reads are measurable at batch 1.
-    pred = &forward(encode());
+    pred = forward(encode());
   }
   for (size_t i = 0; i < queries.size(); ++i)
-    out[i] = scaler_.Unscale(pred->at(i, 0));
+    out[i] = scaler_.Unscale(pred.data[i]);  // one output column
 }
 
 bool LmkgS::CanEstimate(const query::Query& q) const {

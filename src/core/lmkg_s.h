@@ -85,8 +85,9 @@ class LmkgS : public LearnedEstimator {
                    const EpochCallback& callback = nullptr);
 
   double EstimateCardinality(const query::Query& q) override;
-  /// One encoder pass + one B-row network forward — the whole batch flows
-  /// as a single matrix. Per-query calls delegate here with B = 1.
+  /// One encoder pass + one B-row nn::Sequential::Infer — the whole
+  /// batch flows as a single matrix, on the calling thread. Per-query
+  /// calls delegate here with B = 1.
   void EstimateCardinalityBatch(std::span<const query::Query> queries,
                                 std::span<double> out) override;
   bool CanEstimate(const query::Query& q) const override;
@@ -128,10 +129,11 @@ class LmkgS : public LearnedEstimator {
                              double log_min, double log_max,
                              std::shared_ptr<const void> owner = nullptr);
 
-  /// Runs one throwaway dense and one sparse single-row forward to size
-  /// the activation/input buffers, so the first real estimate after an
-  /// attach needs no buffer growth (half of the alloc_test warm pin;
-  /// encoder scratch still warms on the first real query).
+  /// Runs one throwaway dense and one sparse single-row Infer to size
+  /// the input buffers and the network's scratch, so the first real
+  /// one-row estimate after an attach needs no buffer growth (half of
+  /// the alloc_test warm pin; encoder scratch still warms on the first
+  /// real query, and a larger batch grows the scratch once).
   void WarmUp();
 
   /// True for CreateMapped models (weights borrowed from a store

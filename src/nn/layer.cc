@@ -1,6 +1,8 @@
 #include "nn/layer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <typeinfo>
 
 namespace lmkg::nn {
 
@@ -104,12 +106,20 @@ void Relu::Backward(const Matrix& in, const Matrix&, const Matrix& dout,
 
 // --- Sigmoid -------------------------------------------------------------------
 
+namespace {
+
+// The logistic of every element of x[0..n), in place or not — the one
+// spelling Sigmoid::Forward and Sequential::Infer share, so both give
+// the same bits.
+void SigmoidRows(const float* x, float* y, size_t n) {
+  for (size_t i = 0; i < n; ++i) y[i] = 1.0f / (1.0f + std::exp(-x[i]));
+}
+
+}  // namespace
+
 void Sigmoid::Forward(const Matrix& in, Matrix* out, bool) {
   out->Resize(in.rows(), in.cols());
-  const float* x = in.data();
-  float* y = out->data();
-  for (size_t i = 0; i < in.size(); ++i)
-    y[i] = 1.0f / (1.0f + std::exp(-x[i]));
+  SigmoidRows(in.data(), out->data(), in.size());
 }
 
 void Sigmoid::Backward(const Matrix&, const Matrix& out,
@@ -167,6 +177,26 @@ void Dropout::Backward(const Matrix& in, const Matrix&, const Matrix& dout,
 // --- Sequential -------------------------------------------------------------------
 
 void Sequential::Add(std::unique_ptr<Layer> layer) {
+  // Exact types: a MaskedDense must re-mask its weights on every
+  // forward, which Infer's Dense step does not do.
+  Layer& added = *layer;
+  const std::type_info& type = typeid(added);
+  if (type == typeid(Dense)) {
+    Dense& dense = static_cast<Dense&>(added);
+    infer_steps_.push_back(
+        {InferStep::kDense, &dense.weights(), &dense.bias(), false});
+  } else if (type == typeid(Relu)) {
+    InferStep* last = infer_steps_.empty() ? nullptr : &infer_steps_.back();
+    if (last != nullptr && last->kind == InferStep::kDense && !last->relu) {
+      last->relu = true;
+    } else {
+      infer_steps_.push_back({InferStep::kRelu});
+    }
+  } else if (type == typeid(Sigmoid)) {
+    infer_steps_.push_back({InferStep::kSigmoid});
+  } else if (type != typeid(Dropout) && infer_unsupported_.empty()) {
+    infer_unsupported_ = added.name();
+  }
   layers_.push_back(std::move(layer));
   activations_.emplace_back();
   grad_buffers_.emplace_back();
@@ -198,6 +228,74 @@ const Matrix& Sequential::ForwardSparseInput(const SparseRows& in,
     current = &activations_[i];
   }
   return activations_.back();
+}
+
+ConstMatrixView Sequential::Infer(const Matrix& in) {
+  return InferFrom(nullptr, &in);
+}
+
+ConstMatrixView Sequential::Infer(const SparseRows& in) {
+  return InferFrom(&in, nullptr);
+}
+
+ConstMatrixView Sequential::InferFrom(const SparseRows* sparse,
+                                      const Matrix* dense) {
+  LMKG_CHECK(!layers_.empty());
+  LMKG_CHECK(infer_unsupported_.empty())
+      << "Infer has no step for layer " << infer_unsupported_;
+  LMKG_CHECK(sparse == nullptr ||
+             (!infer_steps_.empty() &&
+              infer_steps_[0].kind == InferStep::kDense))
+      << "first layer (" << layers_[0]->name()
+      << ") does not support sparse input";
+  input_ = nullptr;  // a Backward needs a Forward first
+  sparse_input_ = nullptr;
+  const size_t rows = sparse != nullptr ? sparse->rows() : dense->rows();
+  // Scratch buffer `which`, grown (never shrunk) to hold `size` floats.
+  auto scratch = [&](size_t which, size_t size) {
+    auto& buffer = infer_scratch_[which];
+    if (buffer.size() < size) buffer.resize(size);
+    return buffer.data();
+  };
+  // The current activations, `values` once they live in scratch buffer
+  // `which ^ 1` (until then they are the caller's dense input).
+  ConstMatrixView current;
+  if (dense != nullptr) current = {dense->data(), rows, dense->cols()};
+  float* values = nullptr;
+  size_t which = 0;
+  for (size_t s = 0; s < infer_steps_.size(); ++s) {
+    const InferStep& step = infer_steps_[s];
+    if (step.kind == InferStep::kDense) {
+      const Matrix& w = *step.weights;
+      const ConstMatrixView weights{w.data(), w.rows(), w.cols()};
+      values = scratch(which, rows * w.cols());
+      if (s == 0 && sparse != nullptr) {
+        MatMulSparseUnitBiasAct(*sparse, weights, step.bias->data(),
+                                step.relu, values);
+      } else {
+        MatMulBiasAct(current, weights, step.bias->data(), step.relu,
+                      values);
+      }
+      current = {values, rows, w.cols()};
+      which ^= 1;
+      continue;
+    }
+    // Relu and Sigmoid work in place, on a copy of the input when no
+    // Dense has run yet.
+    const size_t size = current.rows * current.cols;
+    if (values == nullptr) {
+      values = scratch(which, size);
+      std::copy_n(current.data, size, values);
+      current.data = values;
+      which ^= 1;
+    }
+    if (step.kind == InferStep::kRelu) {
+      ReluInPlace(values, size);
+    } else {
+      SigmoidRows(values, values, size);
+    }
+  }
+  return current;
 }
 
 void Sequential::Backward(const Matrix& dout, Matrix* input_grad) {

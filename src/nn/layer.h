@@ -175,6 +175,19 @@ class Sequential {
   /// reference to `in`.
   const Matrix& ForwardSparseInput(const SparseRows& in,
                                    bool training = false);
+  /// Serve-only forward pass: the inference-mode output of the stack for
+  /// `in`, bit-identical to Forward(in, false) and ForwardSparseInput(in)
+  /// (whose first layer must be Dense). It walks the layers through two
+  /// reused scratch buffers instead of per-layer activations: each Dense
+  /// stores its rows with the bias and any ReLU that follows it already
+  /// applied, Dropout is the identity and copies nothing, and nothing
+  /// runs on the thread pool. Supports Dense, Relu, Dropout and Sigmoid
+  /// layers; any other layer CHECK-fails. The view stays valid until the
+  /// next Infer, and the scratch only grows, so a warm call allocates
+  /// nothing. Infer keeps no activations, so a Backward after it
+  /// CHECK-fails until the next Forward.
+  ConstMatrixView Infer(const Matrix& in);
+  ConstMatrixView Infer(const SparseRows& in);
   /// Backpropagates dL/d(last output); requires a preceding Forward.
   /// dL/d(input) is computed only when `input_grad` is given — needed
   /// when stacks are chained through non-layer glue (e.g. MSCN's set
@@ -198,6 +211,22 @@ class Sequential {
   const Matrix* input_ = nullptr;
   const SparseRows* sparse_input_ = nullptr;
   std::vector<Matrix> grad_buffers_;
+
+  // Infer's plan, built by Add: one step per Dense (with the ReLU that
+  // follows it fused in), unfused Relu and Sigmoid; Dropout has none.
+  // Steps point at the Dense's weight and bias matrices, which live as
+  // long as the layer, and read them at call time, so a later
+  // Matrix::BorrowConst attach is seen.
+  struct InferStep {
+    enum Kind { kDense, kRelu, kSigmoid } kind;
+    const Matrix* weights = nullptr;
+    const Matrix* bias = nullptr;
+    bool relu = false;
+  };
+  ConstMatrixView InferFrom(const SparseRows* sparse, const Matrix* dense);
+  std::vector<InferStep> infer_steps_;
+  std::string infer_unsupported_;  // name of the first layer Infer lacks
+  std::vector<float, CacheAlignedAllocator<float>> infer_scratch_[2];
 };
 
 }  // namespace lmkg::nn

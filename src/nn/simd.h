@@ -54,6 +54,7 @@ namespace lmkg::nn::simd {
 #if defined(LMKG_SIMD_AVX512)
 
 constexpr size_t kLanes = 16;
+constexpr size_t kRegisters = 32;  // architectural vector registers
 constexpr const char* kIsaName = "avx512f";
 using Vec = __m512;
 
@@ -116,6 +117,7 @@ static inline float ReduceAdd(Vec v) {
 #elif defined(LMKG_SIMD_AVX2)
 
 constexpr size_t kLanes = 8;
+constexpr size_t kRegisters = 16;
 constexpr const char* kIsaName = "avx2+fma";
 using Vec = __m256;
 
@@ -171,6 +173,11 @@ static inline float ReduceAdd(Vec v) {
 #elif defined(LMKG_SIMD_NEON)
 
 constexpr size_t kLanes = 4;
+#if defined(__aarch64__)
+constexpr size_t kRegisters = 32;
+#else
+constexpr size_t kRegisters = 16;
+#endif
 constexpr const char* kIsaName = "neon";
 using Vec = float32x4_t;
 
@@ -260,6 +267,7 @@ static inline float ReduceAdd(Vec v) {
 #else  // scalar fallback
 
 constexpr size_t kLanes = 1;
+constexpr size_t kRegisters = 16;
 constexpr const char* kIsaName = "scalar";
 using Vec = float;
 

@@ -179,12 +179,30 @@ void MatMulSparseUnitTransAAccum(const SparseRows& a, const Matrix& b,
 ///
 /// The kernel is row-blocked, explicitly vectorized through nn/simd.h
 /// (AVX2/NEON with a scalar fallback) and, for large products,
-/// row-parallel over the global util::ThreadPool — but every output row
-/// is always the ascending-k axpy sum of that row alone with a fixed
-/// column partition, so row i of a B-row product is bit-equal to the
-/// 1-row product of row i (the batched inference path depends on this to
-/// match the per-query path; see the contract comment in tensor.cc).
+/// row-parallel over the global util::ThreadPool — but every output
+/// element is always the ascending-k MulAdd chain of that row alone with
+/// a fixed column partition, so row i of a B-row product is bit-equal to
+/// the 1-row product of row i (the batched inference path depends on
+/// this to match the per-query path; see the contract comment in
+/// tensor.cc).
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
+/// The serving form of a Dense layer (nn::Sequential::Infer):
+/// out = act(a * b + bias) with act = x > 0 ? x : 0 when `relu`, else
+/// the identity. `bias` holds b.cols floats (or is null for none); `out`
+/// is caller-owned a.rows x b.cols storage, every element of which is
+/// written. Runs on the calling thread only, never the thread pool, and
+/// every element is bit-identical to MatMul, then AddRowVector, then
+/// Relu::Forward: the bias and ReLU are applied in registers as each
+/// element is stored (see the contract comment in tensor.cc).
+void MatMulBiasAct(const ConstMatrixView& a, const ConstMatrixView& b,
+                   const float* bias, bool relu, float* out);
+/// MatMulBiasAct with a given as unit-valued sparse rows: bit-identical
+/// to MatMulSparseUnit, then AddRowVector, then Relu::Forward.
+void MatMulSparseUnitBiasAct(const SparseRows& a, const ConstMatrixView& b,
+                             const float* bias, bool relu, float* out);
+/// x[i] = x[i] > 0 ? x[i] : 0 over x[0..n), vectorized (Relu::Forward's
+/// rule, NaN and -0 included).
+void ReluInPlace(float* x, size_t n);
 /// out = aᵀ * b. Shapes: (k x m)ᵀ * (k x n) -> (m x n).
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a * bᵀ. Shapes: (m x k) * (n x k)ᵀ -> (m x n).

@@ -111,8 +111,7 @@ double RangeLmkgS::EstimateCardinality(const RangeQuery& q) {
   LMKG_CHECK(CanEstimate(q)) << RangeQueryToString(q);
   input_buffer_.Resize(1, encoder_->width());
   encoder_->Encode(q, input_buffer_.row(0));
-  const nn::Matrix& out = net_.Forward(input_buffer_, /*training=*/false);
-  return scaler_.Unscale(out.at(0, 0));
+  return scaler_.Unscale(net_.Infer(input_buffer_).data[0]);
 }
 
 bool RangeLmkgS::CanEstimate(const RangeQuery& q) const {

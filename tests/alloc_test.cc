@@ -288,6 +288,23 @@ TEST_F(AllocationTest, LmkgSEstimateBatchIsAllocationFreeWhenWarm) {
   const size_t before = lmkg::testing::AllocationCount();
   model.EstimateCardinalityBatch(mixed_, estimates);
   EXPECT_EQ(lmkg::testing::AllocationCount() - before, 0u);
+
+  // One full 64-row batch sizes Infer's scratch for every smaller one:
+  // the scratch only grows, so 1-, 2- and 64-row batches after it, in
+  // any order, allocate nothing.
+  std::vector<Query> full;
+  while (full.size() < 64)
+    full.push_back(mixed_[full.size() % mixed_.size()]);
+  std::vector<double> full_estimates(full.size(), 0.0);
+  model.EstimateCardinalityBatch(full, full_estimates);  // warm-up
+  for (size_t rows : {1u, 2u, 64u, 1u}) {
+    const std::span<const Query> batch(full.data(), rows);
+    const std::span<double> out(full_estimates.data(), rows);
+    const size_t start = lmkg::testing::AllocationCount();
+    model.EstimateCardinalityBatch(batch, out);
+    EXPECT_EQ(lmkg::testing::AllocationCount() - start, 0u)
+        << rows << "-row batch";
+  }
 }
 
 // --- mapped model store ------------------------------------------------------

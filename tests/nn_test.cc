@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "nn/adam.h"
 #include "nn/gradcheck.h"
@@ -179,22 +183,34 @@ TEST(TensorPropertyTest, MatMulTransBMatchesNaiveOverRandomShapes) {
 }
 
 // A row's result must not depend on the batch it is computed in — the
-// foundation of the batch == per-query estimator guarantee.
+// foundation of the batch == per-query estimator guarantee. k = 600 rows
+// are longer than one pass of the sparse kernel's index list, so their
+// chains resume from memory between passes.
 TEST(TensorPropertyTest, RowResultsIndependentOfBatchSize) {
   util::Pcg32 rng(80);
-  for (double sparsity : {0.0, 0.5, 0.95}) {
-    Matrix a = RandomMatrix(37, 53, sparsity, rng);
-    Matrix b = RandomMatrix(53, 29, 0.0, rng);
+  using Shape = std::pair<size_t, double>;  // k, sparsity
+  for (const auto& [k, sparsity] : {Shape{53, 0.0}, Shape{53, 0.5},
+                                    Shape{53, 0.95}, Shape{600, 0.0},
+                                    Shape{600, 0.9}}) {
+    Matrix a = RandomMatrix(37, k, sparsity, rng);
+    Matrix b = RandomMatrix(k, 29, 0.0, rng);
     Matrix full;
     MatMul(a, b, &full);
-    for (size_t i = 0; i < a.rows(); ++i) {
-      Matrix row(1, a.cols());
-      std::copy(a.row(i), a.row(i) + a.cols(), row.data());
-      Matrix single;
-      MatMul(row, b, &single);
-      for (size_t j = 0; j < b.cols(); ++j)
-        ASSERT_EQ(full.at(i, j), single.at(0, j))
-            << "row " << i << " col " << j << " sparsity " << sparsity;
+    // Sub-batches of 1-3 rows never fill a 4-row block, so they take
+    // the compressed-index kernel whatever the full batch took.
+    for (size_t chunk : {1u, 2u, 3u}) {
+      for (size_t i0 = 0; i0 < a.rows(); i0 += chunk) {
+        const size_t rows = std::min(chunk, a.rows() - i0);
+        Matrix part(rows, a.cols());
+        std::copy(a.row(i0), a.row(i0) + rows * a.cols(), part.data());
+        Matrix got;
+        MatMul(part, b, &got);
+        for (size_t r = 0; r < rows; ++r)
+          for (size_t j = 0; j < b.cols(); ++j)
+            ASSERT_EQ(full.at(i0 + r, j), got.at(r, j))
+                << "row " << i0 + r << " col " << j << " chunk " << chunk
+                << " sparsity " << sparsity;
+      }
     }
   }
 }
@@ -257,18 +273,21 @@ void ExpectBitEqual(const Matrix& expected, const Matrix& got,
 TEST(TensorPropertyTest, MatMulSparseUnitBitEqualsDense) {
   util::Pcg32 rng(82);
   for (size_t n : {1u, 17u, 64u, 128u, 130u}) {
-    const size_t m = 9, k = 75;
-    Matrix dense;
-    SparseRows sparse;
-    RandomUnitRows(m, k, 0.12, 0, rng, &dense, &sparse);
-    Matrix b = RandomMatrix(k, n, 0.0, rng);
-    Matrix expected, got;
-    MatMul(dense, b, &expected);
-    MatMulSparseUnit(sparse, b, &got);
-    ASSERT_EQ(got.rows(), m);
-    ASSERT_EQ(got.cols(), n);
-    for (size_t i = 0; i < expected.size(); ++i)
-      ASSERT_EQ(expected.data()[i], got.data()[i]) << "n=" << n;
+    for (size_t m : {1u, 2u, 3u, 9u}) {
+      const size_t k = 75;
+      Matrix dense;
+      SparseRows sparse;
+      RandomUnitRows(m, k, 0.12, 0, rng, &dense, &sparse);
+      Matrix b = RandomMatrix(k, n, 0.0, rng);
+      Matrix expected, got;
+      MatMul(dense, b, &expected);
+      MatMulSparseUnit(sparse, b, &got);
+      ASSERT_EQ(got.rows(), m);
+      ASSERT_EQ(got.cols(), n);
+      for (size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(expected.data()[i], got.data()[i])
+            << "n=" << n << " m=" << m;
+    }
   }
 }
 
@@ -321,7 +340,7 @@ TEST(TensorPropertyTest, WidthOneKernelsBitEqualGeneralKernels) {
     for (size_t i = 0; i < m.rows(); ++i) col.at(i, 0) = m.at(i, 0);
     return col;
   };
-  for (size_t m : {1u, 32u, 37u, 64u}) {
+  for (size_t m : {1u, 2u, 3u, 5u, 17u, 32u, 37u, 64u}) {
     for (size_t k : {1u, 16u, 128u, 130u}) {
       const std::string what =
           "m=" + std::to_string(m) + " k=" + std::to_string(k);
@@ -387,6 +406,114 @@ TEST(LayerTest, SequentialForwardSparseInputBitEqualsDense) {
   ASSERT_EQ(got.cols(), 1u);
   for (size_t i = 0; i < expected.size(); ++i)
     ASSERT_EQ(expected.data()[i], got.data()[i]) << "row " << i;
+}
+
+void ExpectBitEqual(const Matrix& expected, const ConstMatrixView& got,
+                    const std::string& what) {
+  ASSERT_EQ(expected.rows(), got.rows) << what;
+  ASSERT_EQ(expected.cols(), got.cols) << what;
+  EXPECT_EQ(std::memcmp(expected.data(), got.data,
+                        expected.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+// The serve-only pass equals Forward and ForwardSparseInput bit for bit
+// at every row count around the kernels' blocks (4 rows, a vector of
+// rows for the output layer), hidden widths around the lane and tile
+// splits, 1-3 hidden layers with and without Dropout. The first layer's
+// bias is negative, so the all-zero input rows (every fifth) have an
+// all-zero ReLU output; one bias unit is NaN and one -0, and one dense
+// input row holds a NaN, so NaN pre-activations reach the fused ReLU.
+TEST(LayerTest, InferBitEqualsForwardAndForwardSparseInput) {
+  util::Pcg32 rng(87);
+  constexpr size_t kWidth = 75, kMaxRows = 65;
+  for (size_t hidden : {32u, 64u, 100u, 128u, 130u}) {
+    for (int layers = 1; layers <= 3; ++layers) {
+      for (bool dropout : {false, true}) {
+        const std::string config = "hidden=" + std::to_string(hidden) +
+                                   " layers=" + std::to_string(layers) +
+                                   " dropout=" + std::to_string(dropout);
+        Sequential net;
+        size_t in_dim = kWidth;
+        for (int layer = 0; layer < layers; ++layer) {
+          auto dense = std::make_unique<Dense>(in_dim, hidden, rng);
+          if (layer == 0) {
+            dense->bias().Fill(-0.5f);
+            dense->bias().at(0, hidden - 1) = std::nanf("");
+            dense->bias().at(0, hidden / 2) = -0.0f;
+          }
+          net.Add(std::move(dense));
+          net.Add(std::make_unique<Relu>());
+          if (dropout) net.Add(std::make_unique<Dropout>(0.3, layer + 1));
+          in_dim = hidden;
+        }
+        net.Add(std::make_unique<Dense>(in_dim, 1, rng));
+        net.Add(std::make_unique<Sigmoid>());
+
+        Matrix all_dense;
+        SparseRows all_sparse;
+        RandomUnitRows(kMaxRows, kWidth, 0.15, 5, rng, &all_dense,
+                       &all_sparse);
+        for (size_t rows : {1u, 2u, 3u, 4u, 5u, 15u, 16u, 17u, 63u, 64u,
+                            65u, 1u}) {
+          const std::string what =
+              config + " rows=" + std::to_string(rows);
+          Matrix dense(rows, kWidth);
+          std::copy_n(all_dense.data(), rows * kWidth, dense.data());
+          SparseRows sparse;
+          sparse.Clear(kWidth);
+          sparse.row_begin.assign(all_sparse.row_begin.begin(),
+                                  all_sparse.row_begin.begin() + rows + 1);
+          sparse.col.assign(
+              all_sparse.col.begin(),
+              all_sparse.col.begin() + sparse.row_begin.back());
+
+          const Matrix expected = net.Forward(dense, /*training=*/false);
+          ExpectBitEqual(expected, net.ForwardSparseInput(sparse),
+                         "ForwardSparseInput " + what);
+          ExpectBitEqual(expected, net.Infer(sparse),
+                         "Infer sparse " + what);
+          ExpectBitEqual(expected, net.Infer(dense), "Infer dense " + what);
+
+          dense.at(rows - 1, 3) = std::nanf("");
+          const Matrix with_nan = net.Forward(dense, /*training=*/false);
+          ExpectBitEqual(with_nan, net.Infer(dense), "NaN input " + what);
+        }
+      }
+    }
+  }
+}
+
+// A ReLU that no Dense precedes runs Infer's vector ReLU in place; it
+// keeps Relu::Forward's x > 0 ? x : 0, which maps NaN and -0 to +0, in
+// the vector region and the tail alike.
+TEST(LayerTest, InferReluMatchesForwardOnNanAndSignedZero) {
+  util::Pcg32 rng(88);
+  const float specials[] = {std::nanf(""), -0.0f, 0.0f, -1.0f, 1.0f,
+                            -INFINITY, INFINITY, -1e-40f, 1e-40f};
+  for (size_t width : {1u, 7u, 16u, 17u, 33u}) {
+    Sequential net;
+    net.Add(std::make_unique<Relu>());
+    Matrix in = RandomMatrix(3, width, 0.2, rng);
+    for (size_t i = 0; i < in.size(); ++i)
+      if (i % 2 == 0) in.data()[i] = specials[i / 2 % std::size(specials)];
+    const Matrix expected = net.Forward(in, /*training=*/false);
+    ExpectBitEqual(expected, net.Infer(in),
+                   "width=" + std::to_string(width));
+    for (size_t i = 0; i < expected.size(); ++i)
+      EXPECT_FALSE(std::signbit(expected.data()[i])) << i;
+  }
+}
+
+TEST(LayerDeathTest, BackwardAfterInferAborts) {
+  util::Pcg32 rng(89);
+  Sequential net;
+  net.Add(std::make_unique<Dense>(4, 3, rng));
+  Matrix in(2, 4), dout(2, 3);
+  net.Forward(in, /*training=*/true);
+  net.Infer(in);
+  EXPECT_DEATH(net.Backward(dout), "Backward before Forward");
 }
 
 TEST(TensorTest, ResizeZeroedClearsEveryElement) {
