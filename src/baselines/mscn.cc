@@ -1,11 +1,8 @@
 #include "baselines/mscn.h"
 
 #include <algorithm>
-#include <numeric>
 
-#include "nn/loss.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 #include "util/strings.h"
 
 namespace lmkg::baselines {
@@ -16,7 +13,9 @@ using rdf::TermId;
 
 MscnEstimator::MscnEstimator(const rdf::Graph& graph,
                              const MscnConfig& config)
-    : graph_(graph), config_(config) {
+    : graph_(graph),
+      config_(config),
+      schedule_(config.epochs, config.batch_size, config.grad_clip_norm) {
   LMKG_CHECK(graph.finalized());
   util::Pcg32 rng(config.seed, /*stream=*/0x5c2);
 
@@ -132,59 +131,22 @@ void MscnEstimator::BackwardBatch(const nn::Matrix& dpred) {
   set_net_.Backward(delements_);
 }
 
-MscnEstimator::TrainStats MscnEstimator::Train(
+core::TrainStats MscnEstimator::Train(
     const std::vector<sampling::LabeledQuery>& data) {
-  LMKG_CHECK(!data.empty());
-  util::Stopwatch timer;
-  if (!scaler_.fitted()) {
-    std::vector<double> cards;
-    cards.reserve(data.size());
-    for (const auto& lq : data) cards.push_back(lq.cardinality);
-    scaler_.Fit(cards);
-  }
-  const double log_range = scaler_.log_max() - scaler_.log_min();
-
-  std::vector<size_t> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  util::Pcg32 shuffle_rng(config_.seed, /*stream=*/0x5c3);
-
-  TrainStats stats;
-  std::vector<const Query*> batch_queries;
-  std::vector<float> batch_y;
-  nn::Matrix dpred;
-  std::vector<nn::ParamRef> params = set_net_.Params();
-  for (nn::ParamRef p : out_net_.Params()) params.push_back(p);
-
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    shuffle_rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    size_t batches = 0;
-    for (size_t start = 0; start < data.size();
-         start += config_.batch_size) {
-      size_t end = std::min(start + config_.batch_size, data.size());
-      batch_queries.clear();
-      batch_y.clear();
-      for (size_t i = start; i < end; ++i) {
-        batch_queries.push_back(&data[order[i]].query);
-        batch_y.push_back(
-            static_cast<float>(scaler_.Scale(data[order[i]].cardinality)));
-      }
-      const nn::Matrix& pred = ForwardBatch(batch_queries, true);
-      double loss = nn::QErrorLoss(pred, batch_y, log_range, &dpred);
-      set_net_.ZeroGrad();
-      out_net_.ZeroGrad();
-      BackwardBatch(dpred);
-      nn::ClipGradientNorm(params, config_.grad_clip_norm);
-      optimizer_->Step();
-      epoch_loss += loss;
-      ++batches;
-    }
-    stats.epoch_losses.push_back(epoch_loss /
-                                 std::max<size_t>(batches, 1));
-    trained_ = true;
-  }
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
+  util::Pcg32 shuffle(config_.seed, /*stream=*/0x5c3);
+  const core::EpochLoop loop{schedule_, *optimizer_, shuffle, trained_, {}};
+  std::vector<double> cardinalities;
+  cardinalities.reserve(data.size());
+  for (const auto& lq : data) cardinalities.push_back(lq.cardinality);
+  std::vector<const Query*> batch;
+  return core::TrainSupervised(
+      loop, cardinalities, core::LossKind::kQError, scaler_,
+      {[&](std::span<const size_t> rows) -> const nn::Matrix& {
+         batch.clear();
+         for (size_t row : rows) batch.push_back(&data[row].query);
+         return ForwardBatch(batch, /*training=*/true);
+       },
+       [this](const nn::Matrix& dpred) { BackwardBatch(dpred); }});
 }
 
 double MscnEstimator::EstimateCardinality(const Query& q) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/trainer.h"
 #include "nn/adam.h"
 #include "nn/layer.h"
 #include "rdf/graph.h"
@@ -34,18 +35,15 @@ struct MscnConfig {
 /// optionally a bitmap over `num_samples` materialized sample nodes
 /// marking which samples can bind the pattern's subject. A per-element
 /// MLP embeds each pattern, mean-pooling aggregates the set, and an
-/// output MLP with sigmoid head predicts the scaled log-cardinality;
-/// training minimizes mean q-error on the same queries as LMKG-S.
+/// output MLP with sigmoid head predicts the scaled log-cardinality.
+/// Training is core::TrainSupervised's mean q-error on the same queries
+/// as LMKG-S; MSCN supplies only its two-network forward and backward
+/// over the pooled pattern sets.
 class MscnEstimator : public core::CardinalityEstimator {
  public:
   MscnEstimator(const rdf::Graph& graph, const MscnConfig& config);
 
-  struct TrainStats {
-    std::vector<double> epoch_losses;
-    double seconds = 0.0;
-  };
-
-  TrainStats Train(const std::vector<sampling::LabeledQuery>& data);
+  core::TrainStats Train(const std::vector<sampling::LabeledQuery>& data);
 
   double EstimateCardinality(const query::Query& q) override;
   /// One set-network forward over the concatenated pattern elements of
@@ -70,6 +68,7 @@ class MscnEstimator : public core::CardinalityEstimator {
 
   const rdf::Graph& graph_;
   MscnConfig config_;
+  core::EpochSchedule schedule_;
   std::vector<rdf::TermId> sample_nodes_;
   nn::Sequential set_net_;  // pattern features -> hidden
   nn::Sequential out_net_;  // pooled hidden -> 1 (sigmoid)

@@ -60,10 +60,13 @@ class CardinalityEstimator {
   virtual size_t MemoryBytes() const = 0;
 };
 
-/// A learned estimator whose trained state is one nn/serialize.h segment
-/// (LmkgS, LmkgU) — what a core::ModelRegistry holds, writes and reads.
-class LearnedEstimator : public CardinalityEstimator {
+/// A trainable model whose trained state is one nn/serialize.h segment:
+/// LmkgS, LmkgU and range::RangeLmkgS. The one stream Save/Load of every
+/// learned model lives here.
+class SegmentModel {
  public:
+  virtual ~SegmentModel() = default;
+
   /// The trained state as a segment with zero arch and combo. Valid only
   /// while the model (or the mapping it borrows) is alive.
   virtual nn::Segment ToSegment() = 0;
@@ -73,6 +76,7 @@ class LearnedEstimator : public CardinalityEstimator {
   /// The tensor shapes LoadSegment accepts, in order.
   virtual std::vector<nn::TensorShape> ExpectedParamShapes() const = 0;
   virtual bool trained() const = 0;
+  virtual std::string name() const = 0;
 
   /// Persists the trained state as one segment ("train once in the
   /// creation phase, reuse thereafter").
@@ -81,8 +85,8 @@ class LearnedEstimator : public CardinalityEstimator {
     return nn::WriteSegment(ToSegment(), out);
   }
   /// Load requires a trainable model built like the saved one; every
-  /// tensor shape and the CRC are verified, and a failed Load leaves the
-  /// model as it was.
+  /// tensor shape is checked before any payload byte is read, the CRC is
+  /// verified, and a failed Load leaves the model as it was.
   util::Status Load(std::istream& in) {
     std::vector<char> bytes;
     nn::Segment segment;
@@ -93,6 +97,13 @@ class LearnedEstimator : public CardinalityEstimator {
       return status;
     return LoadSegment(segment);
   }
+};
+
+/// A learned cardinality estimator (LmkgS, LmkgU) — what a
+/// core::ModelRegistry holds, writes and reads.
+class LearnedEstimator : public CardinalityEstimator, public SegmentModel {
+ public:
+  std::string name() const override = 0;
 };
 
 }  // namespace lmkg::core

@@ -1,15 +1,50 @@
 #include "core/lmkg_s.h"
 
 #include <algorithm>
-#include <numeric>
 #include <ostream>
 
-#include "nn/loss.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
 namespace lmkg::core {
+
+void BuildLmkgSNetwork(size_t input_width, const LmkgSConfig& config,
+                       bool mapped, nn::Sequential* net) {
+  // The mapped stack keeps the exact layer sequence of the trained one
+  // (including Dropout, identity at inference) so the forward pass — and
+  // therefore every estimate — is bit-identical to the model the segment
+  // was written from.
+  util::Pcg32 rng(config.seed, /*stream=*/0x57f);
+  size_t in_dim = input_width;
+  for (int layer = 0; layer < config.num_hidden_layers; ++layer) {
+    net->Add(mapped ? std::make_unique<nn::Dense>(nn::kNoInit)
+                    : std::make_unique<nn::Dense>(in_dim, config.hidden_dim,
+                                                  rng));
+    net->Add(std::make_unique<nn::Relu>());
+    if (config.dropout > 0.0)
+      net->Add(std::make_unique<nn::Dropout>(config.dropout,
+                                             config.seed + layer + 1));
+    in_dim = config.hidden_dim;
+  }
+  net->Add(mapped ? std::make_unique<nn::Dense>(nn::kNoInit)
+                  : std::make_unique<nn::Dense>(in_dim, 1, rng));
+  net->Add(std::make_unique<nn::Sigmoid>());
+}
+
+std::vector<nn::TensorShape> LmkgSParamShapes(size_t input_width,
+                                              const LmkgSConfig& config) {
+  std::vector<nn::TensorShape> shapes;
+  size_t in_dim = input_width;
+  for (int layer = 0; layer < config.num_hidden_layers; ++layer) {
+    shapes.emplace_back(in_dim, config.hidden_dim);      // W
+    shapes.emplace_back(size_t{1}, config.hidden_dim);  // b
+    in_dim = config.hidden_dim;
+  }
+  shapes.emplace_back(in_dim, size_t{1});
+  shapes.emplace_back(size_t{1}, size_t{1});
+  return shapes;
+}
 
 LmkgS::LmkgS(std::unique_ptr<encoding::QueryEncoder> encoder,
              const LmkgSConfig& config)
@@ -17,11 +52,16 @@ LmkgS::LmkgS(std::unique_ptr<encoding::QueryEncoder> encoder,
 
 LmkgS::LmkgS(std::unique_ptr<encoding::QueryEncoder> encoder,
              const LmkgSConfig& config, bool mapped)
-    : encoder_(std::move(encoder)), config_(config), mapped_(mapped) {
+    : encoder_(std::move(encoder)),
+      config_(config),
+      schedule_(config.epochs, config.batch_size, config.grad_clip_norm),
+      mapped_(mapped) {
   LMKG_CHECK(encoder_ != nullptr);
   LMKG_CHECK_GE(config_.num_hidden_layers, 1);
-  LMKG_CHECK_GE(config_.batch_size, 1u);
-  BuildNetwork();
+  BuildLmkgSNetwork(encoder_->width(), config_, mapped_, &net_);
+  if (!mapped_)
+    optimizer_ = std::make_unique<nn::Adam>(net_.Params(),
+                                            config_.learning_rate);
 }
 
 std::unique_ptr<LmkgS> LmkgS::CreateMapped(
@@ -29,31 +69,6 @@ std::unique_ptr<LmkgS> LmkgS::CreateMapped(
     const LmkgSConfig& config) {
   return std::unique_ptr<LmkgS>(
       new LmkgS(std::move(encoder), config, /*mapped=*/true));
-}
-
-void LmkgS::BuildNetwork() {
-  // The mapped stack keeps the exact layer sequence of the trained one
-  // (including Dropout, identity at inference) so the forward pass — and
-  // therefore every estimate — is bit-identical to the model the segment
-  // was written from.
-  util::Pcg32 rng(config_.seed, /*stream=*/0x57f);
-  size_t in_dim = encoder_->width();
-  for (int layer = 0; layer < config_.num_hidden_layers; ++layer) {
-    net_.Add(mapped_ ? std::make_unique<nn::Dense>(nn::kNoInit)
-                     : std::make_unique<nn::Dense>(in_dim,
-                                                   config_.hidden_dim, rng));
-    net_.Add(std::make_unique<nn::Relu>());
-    if (config_.dropout > 0.0)
-      net_.Add(std::make_unique<nn::Dropout>(config_.dropout,
-                                             config_.seed + layer + 1));
-    in_dim = config_.hidden_dim;
-  }
-  net_.Add(mapped_ ? std::make_unique<nn::Dense>(nn::kNoInit)
-                   : std::make_unique<nn::Dense>(in_dim, 1, rng));
-  net_.Add(std::make_unique<nn::Sigmoid>());
-  if (!mapped_)
-    optimizer_ = std::make_unique<nn::Adam>(net_.Params(),
-                                            config_.learning_rate);
 }
 
 std::vector<nn::ConstMatrixView> LmkgS::ParamViews() {
@@ -80,16 +95,7 @@ WeightViews LmkgS::CopyWeights() {
 }
 
 std::vector<nn::TensorShape> LmkgS::ExpectedParamShapes() const {
-  std::vector<nn::TensorShape> shapes;
-  size_t in_dim = encoder_->width();
-  for (int layer = 0; layer < config_.num_hidden_layers; ++layer) {
-    shapes.emplace_back(in_dim, config_.hidden_dim);  // W
-    shapes.emplace_back(size_t{1}, config_.hidden_dim);  // b
-    in_dim = config_.hidden_dim;
-  }
-  shapes.emplace_back(in_dim, size_t{1});
-  shapes.emplace_back(size_t{1}, size_t{1});
-  return shapes;
+  return LmkgSParamShapes(encoder_->width(), config_);
 }
 
 util::Status LmkgS::AttachWeights(
@@ -118,101 +124,34 @@ void LmkgS::WarmUp() {
   net_.Infer(sparse_input_buffer_);
 }
 
-LmkgS::TrainStats LmkgS::Train(
-    const std::vector<sampling::LabeledQuery>& data,
-    const EpochCallback& callback) {
-  LMKG_CHECK(!data.empty()) << "LMKG-S requires training data";
+TrainStats LmkgS::Train(const std::vector<sampling::LabeledQuery>& data,
+                        const EpochCallback& callback) {
   LMKG_CHECK(optimizer_ != nullptr)
       << "LMKG-S Train on a mapped (serve-only) model";
-  util::Stopwatch timer;
-
-  // Fit the label scaler once, on the first training call.
-  if (!scaler_.fitted()) {
-    std::vector<double> cards;
-    cards.reserve(data.size());
-    for (const auto& lq : data) cards.push_back(lq.cardinality);
-    scaler_.Fit(cards);
-  }
-  const double log_range = scaler_.log_max() - scaler_.log_min();
+  util::Pcg32 shuffle(config_.seed, /*stream=*/0x5b);
+  const EpochLoop loop{schedule_, *optimizer_, shuffle, trained_, callback};
 
   // Pre-encode the whole training set, as unit-valued sparse rows when
   // the encoder has that form (the first layer then consumes the rows
   // directly, as at inference, with bit-identical results), else dense.
-  const size_t width = encoder_->width();
   std::vector<query::Query> queries;
+  std::vector<double> cardinalities;
   queries.reserve(data.size());
-  std::vector<float> labels(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    LMKG_CHECK(encoder_->CanEncode(data[i].query))
-        << "training query not encodable: "
-        << query::QueryToString(data[i].query);
-    queries.push_back(data[i].query);
-    labels[i] = static_cast<float>(scaler_.Scale(data[i].cardinality));
+  cardinalities.reserve(data.size());
+  for (const auto& lq : data) {
+    LMKG_CHECK(encoder_->CanEncode(lq.query))
+        << "training query not encodable: " << query::QueryToString(lq.query);
+    queries.push_back(lq.query);
+    cardinalities.push_back(lq.cardinality);
   }
-  nn::SparseRows sparse_features;
-  nn::Matrix features;
-  const bool sparse = encoder_->EncodeBatchSparse(queries, &sparse_features);
-  if (!sparse) encoder_->EncodeBatch(queries, &features);
-
-  std::vector<size_t> order(data.size());
-  std::iota(order.begin(), order.end(), 0);
-  util::Pcg32 shuffle_rng(config_.seed, /*stream=*/0x5b);
-
-  TrainStats stats;
-  stats.examples = data.size();
-  nn::SparseRows sparse_batch;
-  nn::Matrix batch_x, dpred;
-  std::vector<float> batch_y;
-  auto params = net_.Params();
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    shuffle_rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    size_t batches = 0;
-    for (size_t start = 0; start < data.size();
-         start += config_.batch_size) {
-      size_t end = std::min(start + config_.batch_size, data.size());
-      size_t bs = end - start;
-      batch_y.resize(bs);
-      for (size_t i = 0; i < bs; ++i) batch_y[i] = labels[order[start + i]];
-      if (sparse) {
-        sparse_batch.Clear(width);
-        for (size_t i = 0; i < bs; ++i) {
-          const size_t row = order[start + i];
-          sparse_batch.col.insert(
-              sparse_batch.col.end(),
-              sparse_features.col.begin() + sparse_features.row_begin[row],
-              sparse_features.col.begin() +
-                  sparse_features.row_begin[row + 1]);
-          sparse_batch.row_begin.push_back(sparse_batch.col.size());
-        }
-      } else {
-        batch_x.Resize(bs, width);
-        for (size_t i = 0; i < bs; ++i) {
-          const float* src = features.row(order[start + i]);
-          std::copy(src, src + width, batch_x.row(i));
-        }
-      }
-      const nn::Matrix& pred =
-          sparse ? net_.ForwardSparseInput(sparse_batch, /*training=*/true)
-                 : net_.Forward(batch_x, /*training=*/true);
-      double loss =
-          config_.loss == LossKind::kQError
-              ? nn::QErrorLoss(pred, batch_y, log_range, &dpred)
-              : nn::MseLoss(pred, batch_y, &dpred);
-      net_.ZeroGrad();
-      net_.Backward(dpred);
-      nn::ClipGradientNorm(params, config_.grad_clip_norm);
-      optimizer_->Step();
-      epoch_loss += loss;
-      ++batches;
-    }
-    double mean_loss = epoch_loss / std::max<size_t>(batches, 1);
-    stats.epoch_losses.push_back(mean_loss);
-    trained_ = true;
-    if (callback) callback(epoch + 1, mean_loss);
-  }
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
+  nn::SparseRows sparse;
+  if (encoder_->EncodeBatchSparse(queries, &sparse))
+    return TrainSupervised(loop, cardinalities, config_.loss, scaler_,
+                           EncodedRows(net_, sparse));
+  nn::Matrix dense;
+  encoder_->EncodeBatch(queries, &dense);
+  return TrainSupervised(loop, cardinalities, config_.loss, scaler_,
+                         EncodedRows(net_, dense));
 }
 
 double LmkgS::EstimateCardinality(const query::Query& q) {

@@ -1,7 +1,6 @@
 #ifndef LMKG_CORE_LMKG_S_H_
 #define LMKG_CORE_LMKG_S_H_
 
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/trainer.h"
 #include "util/status.h"
 #include "encoding/query_encoder.h"
 #include "nn/adam.h"
@@ -18,13 +18,6 @@
 #include "util/math.h"
 
 namespace lmkg::core {
-
-/// The loss LMKG-S trains against (paper §VI-A concludes mean q-error is
-/// the adequate objective; MSE is kept for the ablation bench).
-enum class LossKind {
-  kQError,
-  kMse,
-};
 
 struct LmkgSConfig {
   size_t hidden_dim = 256;
@@ -37,6 +30,17 @@ struct LmkgSConfig {
   double grad_clip_norm = 5.0;
   uint64_t seed = 1;
 };
+
+/// LMKG-S's network over `input_width` features: num_hidden_layers ×
+/// (Dense, ReLU, Dropout if configured), then Dense to one unit and a
+/// sigmoid. `mapped` leaves every Dense empty for AttachWeights.
+/// range::RangeLmkgS builds its network here too.
+void BuildLmkgSNetwork(size_t input_width, const LmkgSConfig& config,
+                       bool mapped, nn::Sequential* net);
+/// That network's parameter shapes in CollectParams order ({W, b} per
+/// Dense layer).
+std::vector<nn::TensorShape> LmkgSParamShapes(size_t input_width,
+                                              const LmkgSConfig& config);
 
 /// Read-only weights a serve-only LmkgS borrows (LmkgS::AttachWeights):
 /// tensor views in ExpectedParamShapes order plus the label-scaler range.
@@ -69,18 +73,9 @@ class LmkgS : public LearnedEstimator {
       std::unique_ptr<encoding::QueryEncoder> encoder,
       const LmkgSConfig& config);
 
-  struct TrainStats {
-    std::vector<double> epoch_losses;
-    double seconds = 0.0;
-    size_t examples = 0;
-  };
-
-  /// Called after every epoch; lets benches evaluate accuracy checkpoints
-  /// during one training run (Fig. 6 sweeps epochs this way).
-  using EpochCallback = std::function<void(int epoch, double mean_loss)>;
-
-  /// Trains on labeled queries; every query must satisfy CanEstimate.
-  /// Calling Train again continues from the current weights.
+  /// Trains on labeled queries through core::TrainSupervised; every
+  /// query must satisfy CanEstimate. Calling Train again continues from
+  /// the current weights.
   TrainStats Train(const std::vector<sampling::LabeledQuery>& data,
                    const EpochCallback& callback = nullptr);
 
@@ -162,10 +157,10 @@ class LmkgS : public LearnedEstimator {
  private:
   LmkgS(std::unique_ptr<encoding::QueryEncoder> encoder,
         const LmkgSConfig& config, bool mapped);
-  void BuildNetwork();
 
   std::unique_ptr<encoding::QueryEncoder> encoder_;
   LmkgSConfig config_;
+  EpochSchedule schedule_;
   nn::Sequential net_;
   std::unique_ptr<nn::Adam> optimizer_;  // null for mapped models
   util::LogMinMaxScaler scaler_;

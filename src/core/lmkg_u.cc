@@ -7,7 +7,6 @@
 #include "nn/serialize.h"
 #include "sampling/bound_pattern.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace lmkg::core {
 
@@ -24,12 +23,12 @@ LmkgU::LmkgU(const rdf::Graph& graph, Topology topology, int k,
       topology_(topology),
       k_(k),
       config_(config),
+      schedule_(config.epochs, config.batch_size, config.grad_clip_norm),
       walker_(graph),
       rng_(config.seed, /*stream=*/0x10f) {
   LMKG_CHECK(topology == Topology::kStar || topology == Topology::kChain)
       << "LMKG-U groups are star or chain";
   LMKG_CHECK_GE(k, 1);
-  LMKG_CHECK_GE(config_.batch_size, 1u);
 
   // Pattern-bound term sequence domains (paper §VI-B).
   const uint32_t node_domain = static_cast<uint32_t>(graph.num_nodes());
@@ -86,8 +85,8 @@ double LmkgU::population_size() const {
   return chain_pop_->size();
 }
 
-LmkgU::TrainStats LmkgU::Train(const EpochCallback& callback) {
-  util::Stopwatch timer;
+TrainStats LmkgU::Train(const EpochCallback& callback) {
+  const EpochLoop loop{schedule_, *optimizer_, rng_, trained_, callback};
   const size_t T = model_->sequence_length();
 
   // Sample the training tuples (bound patterns only — the unsupervised
@@ -123,39 +122,13 @@ LmkgU::TrainStats LmkgU::Train(const EpochCallback& callback) {
   }
   LMKG_CHECK_GT(sampled, 0u) << "could not sample any training patterns";
 
-  TrainStats stats;
-  stats.examples = sampled;
-  std::vector<size_t> order(sampled);
-  for (size_t i = 0; i < sampled; ++i) order[i] = i;
-
   std::vector<uint32_t> batch;
-  auto params = model_->Params();
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng_.Shuffle(&order);
-    double epoch_nll = 0.0;
-    size_t batches = 0;
-    for (size_t start = 0; start < sampled; start += config_.batch_size) {
-      size_t end = std::min(start + config_.batch_size, sampled);
-      size_t bs = end - start;
-      batch.resize(bs * T);
-      for (size_t i = 0; i < bs; ++i)
-        std::copy(tuples.begin() + order[start + i] * T,
-                  tuples.begin() + (order[start + i] + 1) * T,
-                  batch.begin() + i * T);
-      model_->ZeroGrad();
-      double nll = model_->ForwardBackward(batch, bs);
-      nn::ClipGradientNorm(params, config_.grad_clip_norm);
-      optimizer_->Step();
-      epoch_nll += nll;
-      ++batches;
-    }
-    double mean_nll = epoch_nll / std::max<size_t>(batches, 1);
-    stats.epoch_nll.push_back(mean_nll);
-    trained_ = true;
-    if (callback) callback(epoch + 1, mean_nll);
-  }
-  stats.seconds = timer.ElapsedSeconds();
-  return stats;
+  return RunEpochs(loop, sampled, [&](std::span<const size_t> rows) {
+    batch.resize(rows.size() * T);
+    for (size_t i = 0; i < rows.size(); ++i)
+      std::copy_n(tuples.begin() + rows[i] * T, T, batch.begin() + i * T);
+    return model_->ForwardBackward(batch, rows.size());
+  });
 }
 
 bool LmkgU::QueryToSequence(const query::Query& q,

@@ -1,12 +1,12 @@
 #ifndef LMKG_CORE_LMKG_U_H_
 #define LMKG_CORE_LMKG_U_H_
 
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/trainer.h"
 #include "util/status.h"
 #include "nn/adam.h"
 #include "nn/made.h"
@@ -53,17 +53,11 @@ class LmkgU : public LearnedEstimator {
   LmkgU(const rdf::Graph& graph, query::Topology topology, int k,
         const LmkgUConfig& config);
 
-  struct TrainStats {
-    std::vector<double> epoch_nll;
-    double seconds = 0.0;
-    size_t examples = 0;
-  };
-
-  using EpochCallback = std::function<void(int epoch, double mean_nll)>;
-
   /// Samples its own training data from the graph (unsupervised — no
-  /// labeled queries involved) and fits the density model. Calling again
-  /// continues training on freshly sampled tuples.
+  /// labeled queries involved) and fits the density model through
+  /// core::RunEpochs; the epoch losses are mean NLLs. Sampling, the
+  /// epoch shuffles and the estimates draw from one RNG stream. Calling
+  /// again continues training on freshly sampled tuples.
   TrainStats Train(const EpochCallback& callback = nullptr);
 
   double EstimateCardinality(const query::Query& q) override;
@@ -108,6 +102,7 @@ class LmkgU : public LearnedEstimator {
   query::Topology topology_;
   int k_;
   LmkgUConfig config_;
+  EpochSchedule schedule_;
   std::unique_ptr<nn::ResMade> model_;
   std::unique_ptr<nn::Adam> optimizer_;
   std::unique_ptr<sampling::StarPopulation> star_pop_;

@@ -9,7 +9,7 @@ namespace lmkg::nn {
 
 /// Adam optimizer (Kingma & Ba, 2015) over a fixed set of parameters.
 /// Gradients are accumulated by the layers; call Step() once per batch,
-/// then zero the grads before the next batch.
+/// then zero the grads (params()) before the next batch.
 class Adam {
  public:
   explicit Adam(std::vector<ParamRef> params, float lr = 1e-3f,
@@ -17,6 +17,9 @@ class Adam {
                 float epsilon = 1e-8f);
 
   void Step();
+
+  /// The parameters this optimizer updates, in construction order.
+  const std::vector<ParamRef>& params() const { return params_; }
 
   void set_learning_rate(float lr) { lr_ = lr; }
   float learning_rate() const { return lr_; }

@@ -305,19 +305,4 @@ util::Status CopySegment(const Segment& segment,
   return util::Status::Ok();
 }
 
-util::Status ReadParamSegment(std::istream& in,
-                              const std::vector<ParamRef>& params,
-                              double* log_min, double* log_max) {
-  std::vector<char> bytes;
-  Segment segment;
-  util::Status status = ReadSegment(
-      in, [&](const Segment&) { return ParamShapes(params); }, &bytes,
-      &segment);
-  if (status.ok()) status = CopySegment(segment, params);
-  if (!status.ok()) return status;
-  *log_min = segment.log_min;
-  *log_max = segment.log_max;
-  return util::Status::Ok();
-}
-
 }  // namespace lmkg::nn

@@ -117,13 +117,6 @@ std::vector<ConstMatrixView> ParamViews(const std::vector<ParamRef>& params);
 util::Status CopySegment(const Segment& segment,
                          const std::vector<ParamRef>& params);
 
-/// The stream Load of a model that is one parameter list: reads one
-/// segment whose tensors match `params`, copies it in, and returns the
-/// scaler range. All or nothing.
-util::Status ReadParamSegment(std::istream& in,
-                              const std::vector<ParamRef>& params,
-                              double* log_min, double* log_max);
-
 /// Host-endian POD writer and reader for the container headers around
 /// segments (core::AdaptiveLmkg's snapshot). Read is false on
 /// truncation.

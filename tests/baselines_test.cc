@@ -361,6 +361,14 @@ TEST_F(MscnTest, PatternWidthIncludesBitmap) {
   EXPECT_GT(mscn.MemoryBytes(), 0u);
 }
 
+// Train steps its batch start by batch_size; zero would never advance.
+TEST_F(MscnTest, ZeroBatchSizeAborts) {
+  const auto train = MixedWorkload(20, 64);
+  MscnConfig config;
+  config.batch_size = 0;
+  EXPECT_DEATH(MscnEstimator(graph_, config).Train(train), "batch_size");
+}
+
 TEST_F(MscnTest, EstimateBeforeTrainAborts) {
   MscnConfig config;
   MscnEstimator mscn(graph_, config);

@@ -7,6 +7,7 @@
 #include "core/lmkg_u.h"
 #include "core/outlier_buffer.h"
 #include "core/single_pattern.h"
+#include "core/trainer.h"
 #include "query/executor.h"
 #include "query/topology.h"
 #include "sampling/composite.h"
@@ -80,6 +81,44 @@ TEST(SinglePatternTest, RejectsMultiPattern) {
   SinglePatternEstimator estimator(graph);
   Query q = query::MakeStarQuery(V(0), {{B(1), V(1)}, {B(2), V(2)}});
   EXPECT_FALSE(estimator.CanEstimate(q));
+}
+
+// --- Trainer ----------------------------------------------------------------------
+
+// Every example once per epoch, in batches of batch_size with a partial
+// last one, on zeroed gradients; the model is trained before the
+// callback fires.
+TEST(TrainerTest, RunEpochsVisitsEveryExampleOncePerEpoch) {
+  util::Pcg32 init(1);
+  nn::Sequential net;
+  net.Add(std::make_unique<nn::Dense>(2, 1, init));
+  nn::Adam optimizer(net.Params());
+  const EpochSchedule schedule(3, 4, 5.0);
+  util::Pcg32 shuffle(2);
+  bool trained = false;
+  std::vector<int> callback_epochs;
+  const EpochLoop loop{schedule, optimizer, shuffle, trained,
+                       [&](int epoch, double) {
+                         EXPECT_TRUE(trained);
+                         callback_epochs.push_back(epoch);
+                       }};
+  std::vector<int> visits(10, 0);
+  const TrainStats stats =
+      RunEpochs(loop, 10, [&](std::span<const size_t> batch) {
+        for (const nn::ParamRef& p : optimizer.params())
+          for (size_t i = 0; i < p.grad->size(); ++i)
+            EXPECT_EQ(p.grad->data()[i], 0.0f);
+        for (const nn::ParamRef& p : optimizer.params())
+          p.grad->data()[0] = 1.0f;
+        for (size_t example : batch) ++visits[example];
+        return static_cast<double>(batch.size());
+      });
+  EXPECT_EQ(visits, std::vector<int>(10, 3));
+  EXPECT_EQ(callback_epochs, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(stats.examples, 10u);
+  // Batches of 4, 4 and 2 examples.
+  EXPECT_EQ(stats.epoch_losses, std::vector<double>(3, 10.0 / 3.0));
+  EXPECT_EQ(optimizer.steps(), 9);
 }
 
 // --- LMKG-S ---------------------------------------------------------------------
@@ -213,8 +252,8 @@ TEST_F(LmkgUTest, PopulationMatchesSampler) {
 TEST_F(LmkgUTest, TrainReducesNll) {
   LmkgU model(graph_, Topology::kStar, 2, SmallConfig());
   auto stats = model.Train();
-  ASSERT_GE(stats.epoch_nll.size(), 2u);
-  EXPECT_LT(stats.epoch_nll.back(), stats.epoch_nll.front());
+  ASSERT_GE(stats.epoch_losses.size(), 2u);
+  EXPECT_LT(stats.epoch_losses.back(), stats.epoch_losses.front());
 }
 
 TEST_F(LmkgUTest, EstimatesStarWorkloadAccurately) {
@@ -260,7 +299,7 @@ TEST_F(LmkgUTest, RandomWalkSamplerModeTrains) {
   config.epochs = 5;
   LmkgU model(graph_, Topology::kStar, 2, config);
   auto stats = model.Train();
-  EXPECT_EQ(stats.epoch_nll.size(), 5u);
+  EXPECT_EQ(stats.epoch_losses.size(), 5u);
   EXPECT_GT(model.population_size(), 0.0);  // computed lazily
 }
 

@@ -534,9 +534,9 @@ TEST_F(TrainedModelPinTest, LossesWeightsAndEstimatesMatchRecordedDigests) {
       in_callback.push_back(epoch);
       in_callback.push_back(model.EstimateCardinality(test[0]));
     });
-    ASSERT_EQ(stats.epoch_nll.size(), 3u);
+    ASSERT_EQ(stats.epoch_losses.size(), 3u);
     got.push_back({DoublesDigest(in_callback,
-                                 DoublesDigest(stats.epoch_nll)),
+                                 DoublesDigest(stats.epoch_losses)),
                    SaveDigest(model), QueryEstimateDigest(model, test)});
   }
   ASSERT_EQ(got.size(), kTrainedCases);

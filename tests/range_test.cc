@@ -503,6 +503,21 @@ TEST_F(RangeModelTest, LoadRejectsTruncatedStream) {
   EXPECT_FALSE(model.Load(truncated).ok());
 }
 
+// Train steps its batch start by batch_size; zero would never advance.
+TEST_F(RangeModelTest, ZeroBatchSizeAborts) {
+  const auto train = MakeWorkload(20, 4);
+  core::LmkgSConfig config;
+  config.batch_size = 0;
+  EXPECT_DEATH(RangeLmkgS(std::make_unique<RangeQueryEncoder>(
+                              encoding::MakeSgEncoder(
+                                  graph_, 3, 2,
+                                  encoding::TermEncoding::kBinary),
+                              &histograms_, 2),
+                          config)
+                   .Train(train),
+               "batch_size");
+}
+
 TEST_F(RangeModelTest, BeatsIndependenceBaselineOnHeldOutQueries) {
   auto train = MakeWorkload(250, 3);
   ASSERT_GE(train.size(), 80u);

@@ -39,9 +39,20 @@ util::Status SaveNet(nn::Sequential& net, std::ostream& out,
   return nn::WriteSegment(segment, out);
 }
 
-util::Status LoadNet(nn::Sequential& net, std::istream& in) {
-  double log_min = 0.0, log_max = 0.0;
-  return nn::ReadParamSegment(in, net.Params(), &log_min, &log_max);
+// Reads one segment whose tensors match the net's parameters and copies
+// it in (all or nothing); returns the scaler range through the pointers.
+util::Status LoadNet(nn::Sequential& net, std::istream& in,
+                     double* log_min = nullptr, double* log_max = nullptr) {
+  const std::vector<nn::ParamRef> params = net.Params();
+  std::vector<char> bytes;
+  nn::Segment segment;
+  util::Status status = nn::ReadSegment(
+      in, [&](const nn::Segment&) { return nn::ParamShapes(params); },
+      &bytes, &segment);
+  if (status.ok()) status = nn::CopySegment(segment, params);
+  if (status.ok() && log_min != nullptr) *log_min = segment.log_min;
+  if (status.ok() && log_max != nullptr) *log_max = segment.log_max;
+  return status;
 }
 
 std::vector<float> Flatten(nn::Sequential& net) {
@@ -79,8 +90,7 @@ TEST(SerializeTest, RoundTripRestoresExactBits) {
   // Scramble, then load back: bits and scaler range.
   for (nn::ParamRef p : net.Params()) p.value->Fill(99.0f);
   double log_min = 0.0, log_max = 0.0;
-  ASSERT_TRUE(
-      nn::ReadParamSegment(buffer, net.Params(), &log_min, &log_max).ok());
+  ASSERT_TRUE(LoadNet(net, buffer, &log_min, &log_max).ok());
   EXPECT_EQ(Flatten(net), original);
   EXPECT_EQ(log_min, 0.25);
   EXPECT_EQ(log_max, 7.5);
